@@ -4,7 +4,7 @@ DUNE ?= dune
 XSEED = $(DUNE) exec --no-build bin/xseed.exe --
 SMOKE_DIR := $(or $(TMPDIR),/tmp)/xseed-smoke
 
-.PHONY: all build test fmt fuzz-smoke chaos-smoke tcp-smoke smoke trace-smoke audit-smoke stress bench-smoke bench-json ci clean
+.PHONY: all build test fmt fuzz-smoke chaos-smoke tcp-smoke smoke trace-smoke audit-smoke stress bench-smoke bench-json servebench-smoke ci clean
 
 # Worker-domain count for the stress/serve smoke (the CI matrix sets 1 and 4).
 WORKERS ?= 4
@@ -159,7 +159,15 @@ stress: build
 	fi
 	@echo "stress: OK (WORKERS=$(WORKERS))"
 
-ci: fmt build test fuzz-smoke chaos-smoke tcp-smoke smoke bench-smoke trace-smoke audit-smoke stress
+# Served-path benchmark self-check: build the server and servebench from
+# this checkout (into .bench_build/), drive every workload for one second
+# over framed TCP, untraced and traced, and fail unless every workload
+# answers correctly and reports every BENCHMARK.json metric, finite and in
+# its declared unit.
+servebench-smoke:
+	sh servebench/run.sh --self-check
+
+ci: fmt build test fuzz-smoke chaos-smoke tcp-smoke smoke bench-smoke trace-smoke audit-smoke stress servebench-smoke
 
 clean:
 	$(DUNE) clean

@@ -74,3 +74,7 @@ val of_exn : exn -> t option
 val guard : (unit -> 'a) -> ('a, t) result
 (** Run [f], converting any {!of_exn}-known exception to [Error]. Unknown
     exceptions propagate. *)
+
+val read_file : string -> (string, t) result
+(** A whole file's contents; a missing file is [Missing_file], any OS
+    refusal [Io_error]. *)

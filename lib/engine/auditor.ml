@@ -248,24 +248,6 @@ type t = {
   tracing : (Obs.Trace.t * Obs.Trace.buf * int) option;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let read_file path =
-  if not (Sys.file_exists path) then
-    Error (Core.Error.make Core.Error.Missing_file ("no such file: " ^ path))
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | contents -> Ok contents
-    | exception Sys_error msg ->
-      Error (Core.Error.make Core.Error.Io_error msg)
-
 (* Private resources, loaded once on the audit domain. The synopsis file is
    re-read rather than sharing the serving estimator, so serving-side HET
    refinement never races a shadow evaluation; the storage collects values
@@ -278,7 +260,7 @@ let load_resources source =
         r_ept = lazy (Core.Estimator.ept estimator);
         r_storage = storage }
   | Paths { synopsis; doc } ->
-    (match read_file synopsis with
+    (match Core.Error.read_file synopsis with
      | Error e -> Error (Core.Error.to_string e)
      | Ok contents ->
        (match Core.Synopsis.of_string_result contents with
@@ -291,7 +273,7 @@ let load_resources source =
               ?values:(Core.Synopsis.values syn)
               (Core.Synopsis.kernel syn)
           in
-          (match read_file doc with
+          (match Core.Error.read_file doc with
            | Error e -> Error (Core.Error.to_string e)
            | Ok xml ->
              (match
@@ -306,7 +288,7 @@ let load_resources source =
                     r_storage = storage }))))
 
 let record_result t outcome =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       t.in_flight <- false;
       (match outcome with
        | Error _msg -> t.errors <- t.errors + 1
@@ -352,13 +334,13 @@ let audit_loop t =
       let r = load_resources t.source in
       resources := Some r;
       (match r with
-       | Error msg -> with_lock t.m (fun () -> t.load_failure <- Some msg)
+       | Error msg -> Mutex.protect t.m (fun () -> t.load_failure <- Some msg)
        | Ok _ -> ());
       r
   in
   let rec loop () =
     let job =
-      with_lock t.m (fun () ->
+      Mutex.protect t.m (fun () ->
           while Queue.is_empty t.queue && not t.stopped do
             Condition.wait t.work_cv t.m
           done;
@@ -372,7 +354,7 @@ let audit_loop t =
     match job with
     | None ->
       (* Stopped with an empty queue: wake any settler and exit. *)
-      with_lock t.m (fun () -> Condition.broadcast t.idle_cv)
+      Mutex.protect t.m (fun () -> Condition.broadcast t.idle_cv)
     | Some job ->
       let outcome =
         match get_resources () with
@@ -458,7 +440,7 @@ let feedback_enabled t = t.feedback
 
 let sample t ~query ~hash ~ast ~estimate =
   if in_sample ~seed:t.seed ~rate:t.rate hash then
-    with_lock t.m (fun () ->
+    Mutex.protect t.m (fun () ->
         if t.stopped then ()
         else begin
           t.sampled <- t.sampled + 1;
@@ -481,7 +463,7 @@ let pending t = Atomic.get t.results_pending
 let drain t f =
   if Atomic.get t.results_pending > 0 then begin
     let batch =
-      with_lock t.m (fun () ->
+      Mutex.protect t.m (fun () ->
           let r = t.results in
           t.results <- [];
           Atomic.set t.results_pending 0;
@@ -490,7 +472,7 @@ let drain t f =
     List.iter f (List.rev batch)
   end
 
-let note_refined t = with_lock t.m (fun () -> t.refined <- t.refined + 1)
+let note_refined t = Mutex.protect t.m (fun () -> t.refined <- t.refined + 1)
 
 let idle_locked t = Queue.is_empty t.queue && not t.in_flight
 
@@ -498,7 +480,7 @@ let settle ?(timeout_s = 5.0) t =
   let deadline = Obs.now_mono () +. timeout_s in
   let rec wait () =
     let idle =
-      with_lock t.m (fun () -> idle_locked t || t.stopped)
+      Mutex.protect t.m (fun () -> idle_locked t || t.stopped)
     in
     if idle then true
     else if Obs.now_mono () >= deadline then false
@@ -534,7 +516,7 @@ let top_buckets_locked ?(k = 3) t =
   take k sorted
 
 let status_json t =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       let open Obs.Json in
       Obj
         [ ("rate", Float t.rate);
@@ -560,7 +542,7 @@ let status_json t =
             match t.load_failure with None -> Null | Some m -> String m ) ])
 
 let publish t obs =
-  with_lock t.m (fun () ->
+  Mutex.protect t.m (fun () ->
       Obs.set_max (Obs.counter obs "engine.audit.sampled") t.sampled;
       Obs.set_max (Obs.counter obs "engine.audit.completed") t.completed;
       Obs.set_max (Obs.counter obs "engine.audit.shed") t.shed;
@@ -592,7 +574,7 @@ let publish t obs =
 
 let shutdown t =
   let d =
-    with_lock t.m (fun () ->
+    Mutex.protect t.m (fun () ->
         t.stopped <- true;
         Condition.broadcast t.work_cv;
         let d = t.domain in

@@ -1,6 +1,6 @@
 (* Root module of the [engine] library: re-export the serving submodules
-   and the single-domain engine itself ([Engine_core]). [Pool] and [Serve]
-   depend on [Engine_core] directly so this module stays a pure facade. *)
+   and the single-domain engine itself ([Engine_core]). [Engine_core] and
+   [Pool] both drive [Shard] directly so this module stays a pure facade. *)
 
 module Canonical = Canonical
 module Lru_cache = Lru_cache

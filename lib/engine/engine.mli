@@ -24,10 +24,13 @@
     store per query); [~telemetry:false] turns the recorder and monitor off
     for baseline benchmarking.
 
-    For multi-core serving, {!Pool} runs N of these shards over one shared
-    synopsis behind a bounded {!Work_queue}, with single-writer feedback
-    and epoch-based cache invalidation; {!Serve} is the line protocol both
-    the single engine and the pool speak.
+    The per-query pipeline itself lives in {!Shard}, with two front ends:
+    this engine serves one shard inline on the caller's thread, and
+    {!Pool} runs N of the same shards over one shared synopsis behind a
+    bounded {!Work_queue}, with single-writer feedback and epoch-based
+    cache invalidation. Both answer every verb through the same shard
+    code, so their estimates and flight records agree by construction;
+    {!Serve} is the line protocol both speak.
 
     Surfaced on the command line as [xseed serve] (line protocol, with
     [--workers N] for the pool) and [xseed replay] (workload-driven

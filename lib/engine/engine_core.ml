@@ -1,45 +1,23 @@
-(* Interned trace-event names, resolved once at create so the request path
-   records integer ids only. *)
-type trace_names = {
+(* The single-threaded front end: one {!Shard} served inline on the caller's
+   thread, with the shard's cache, a lazily built EPT and the engine's own
+   scrape registry. *)
+
+(* Interned names for the engine-level slices, resolved once at create so
+   the request path records integer ids only. The stage slices live on
+   the shard's tracing, on the same track. *)
+type tracing = {
+  stage : Shard.tracing;
   n_estimate : int;
-  n_canonicalize : int;
-  n_pipeline : int;
   n_feedback : int;
   n_explain : int;
 }
 
-type tracing = {
-  tr : Obs.Trace.t;
-  tbuf : Obs.Trace.buf;
-  names : trace_names;
-}
-
-let make_tracing ~tid ~name tr =
-  { tr;
-    tbuf = Obs.Trace.register tr ~tid ~name;
-    names =
-      { n_estimate = Obs.Trace.intern tr "estimate";
-        n_canonicalize = Obs.Trace.intern tr "canonicalize";
-        n_pipeline = Obs.Trace.intern tr "pipeline";
-        n_feedback = Obs.Trace.intern tr "feedback";
-        n_explain = Obs.Trace.intern tr "explain" } }
-
 type t = {
-  estimator : Core.Estimator.t;
+  shard : Shard.t;
   cache : Core.Estimator.outcome Lru_cache.t;
-  threshold : float;
   obs : Obs.t option;
   metrics : Obs.t;  (* scrape registry; = obs when one was supplied *)
-  recorder : Flight_recorder.t option;
-  drift : Drift.t option;
   tracing : tracing option;
-  deadline_s : float option;
-  mutable timed_out : int;
-  mutable on_record : (Flight_recorder.record -> unit) option;
-  mutable ept : Core.Matcher.ept option;  (* shared across queries *)
-  mutable feedback_seen : int;
-  mutable feedback_rounds : int;
-  mutable auditor : Auditor.t option;
   scrape : Scrape_meter.t;
 }
 
@@ -53,392 +31,134 @@ let create ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
    | Some d when Float.is_nan d ->
      invalid_arg "Engine.create: deadline_s must not be NaN"
    | _ -> ());
-  { estimator;
-    tracing = Option.map (make_tracing ~tid:1 ~name:"engine") trace;
-    deadline_s;
-    timed_out = 0;
-    cache = Lru_cache.create ~capacity:cache_capacity;
-    threshold = qerror_threshold;
+  let metrics = match obs with Some o -> o | None -> Obs.create () in
+  let drift =
+    if telemetry then
+      Some
+        (Drift.create ~slots:drift_slots ~per_slot:drift_per_slot
+           ~p90_threshold:drift_p90_threshold ())
+    else None
+  in
+  let shared =
+    Shard.shared ~drift_obs:metrics ~threshold:qerror_threshold ~deadline_s
+      ~drift estimator
+  in
+  let tracing =
+    Option.map
+      (fun tr ->
+        { stage = Shard.tracing tr ~tid:1 ~name:"engine";
+          n_estimate = Obs.Trace.intern tr "estimate";
+          n_feedback = Obs.Trace.intern tr "feedback";
+          n_explain = Obs.Trace.intern tr "explain" })
+      trace
+  in
+  let cache = Lru_cache.create ~capacity:cache_capacity in
+  { shard =
+      Shard.create ~cache
+        ?trace:(Option.map (fun tg -> tg.stage) tracing)
+        shared ~estimator
+        ~recorder:
+          (if telemetry then
+             Some (Flight_recorder.create ~capacity:recorder_capacity ())
+           else None);
+    cache;
     obs;
-    metrics = (match obs with Some o -> o | None -> Obs.create ());
-    recorder =
-      (if telemetry then Some (Flight_recorder.create ~capacity:recorder_capacity ())
-       else None);
-    drift =
-      (if telemetry then
-         Some
-           (Drift.create ~slots:drift_slots ~per_slot:drift_per_slot
-              ~p90_threshold:drift_p90_threshold ())
-       else None);
-    on_record = None;
-    ept = None;
-    feedback_seen = 0;
-    feedback_rounds = 0;
-    auditor = None;
+    metrics;
+    tracing;
     scrape = Scrape_meter.create () }
 
-let estimator t = t.estimator
-let qerror_threshold t = t.threshold
-let feedback_rounds t = t.feedback_rounds
-let feedback_seen t = t.feedback_seen
+let shared t = t.shard.Shard.shared
+let estimator t = (shared t).Shard.base
+let qerror_threshold t = (shared t).Shard.threshold
+let feedback_rounds t = (shared t).Shard.feedback_rounds
+let feedback_seen t = (shared t).Shard.feedback_seen
 let cache_counters t = Lru_cache.counters t.cache
 let cache_length t = Lru_cache.length t.cache
 let metrics t = t.metrics
-let timed_out t = t.timed_out
-let recorder t = t.recorder
-let drift t = t.drift
-let set_on_record t f = t.on_record <- Some f
-let set_auditor t a = t.auditor <- Some a
-let auditor t = t.auditor
+let timed_out t = Atomic.get (shared t).Shard.timeouts
+let recorder t = t.shard.Shard.recorder
+let drift t = (shared t).Shard.drift
+let set_on_record t f = (shared t).Shard.sink <- Some f
+let set_auditor t a = (shared t).Shard.auditor <- Some a
+let auditor t = (shared t).Shard.auditor
 
+(* The EPT is dropped, not rebuilt: the next miss builds it lazily, so an
+   evicted registry tenant never pays for one. *)
 let invalidate t =
   Lru_cache.clear t.cache;
-  t.ept <- None
+  (shared t).Shard.ept <- None
 
-let ept_lazy t =
-  lazy
-    (match t.ept with
-     | Some e -> e
-     | None ->
-       let e = Core.Estimator.ept t.estimator in
-       t.ept <- Some e;
-       e)
+(* Completed shadow audits fold back in on the serving thread, so the
+   drift window and the flight ring keep a single writer. Runs before
+   every estimate, hence the cheap check first. *)
+let drain_audits t =
+  if Option.is_some (auditor t) then
+    Shard.drain_audits ~refresh:(fun () -> invalidate t) t.shard
 
-(* Same memoized EPT, but timing its materialization: [!spent] is the wall
-   time the force cost (~0 when the shared EPT already exists). The inner
-   force still happens inside the estimator's error guard, so Ept_too_large
-   surfaces as Limit_exceeded exactly as before. *)
-let ept_lazy_timed t spent =
-  let underlying = ept_lazy t in
-  lazy
-    (let t0 = Obs.now_mono () in
-     let e = Lazy.force underlying in
-     spent := Obs.now_mono () -. t0;
-     e)
+let trace_slice t name t0 =
+  match t.tracing with
+  | None -> ()
+  | Some tg ->
+    Obs.Trace.complete tg.stage.Shard.buf ~name:(name tg)
+      ~ts:(Obs.Trace.rel tg.stage.Shard.tr t0)
+      ~dur:(Obs.now_mono () -. t0)
 
-let het_hits_snapshot t =
-  match Core.Estimator.het t.estimator with
-  | None -> None
-  | Some h -> Some (Core.Het.counters h)
-
-let het_hits_since t before =
-  match (before, Core.Estimator.het t.estimator) with
-  | Some before, Some h ->
-    let d = Core.Het.diff_counters ~before ~after:(Core.Het.counters h) in
-    d.Core.Het.simple_hits + d.Core.Het.branching_hits
-  | _ -> 0
-
-type served = {
+type served = Shard.served = {
   key : Canonical.key;
   outcome : Core.Estimator.outcome;
   status : Core.Explain.cache_status;
 }
 
-let flight_status = function
-  | Core.Explain.Hit -> Flight_recorder.Hit
-  | Core.Explain.Miss -> Flight_recorder.Miss
-  | Core.Explain.Bypass -> Flight_recorder.Bypass
-
-let record_flight t ~(key : Canonical.key) ~status
-    ~(outcome : Core.Estimator.outcome) ~canonicalize_s ~ept_s ~match_s
-    ~ept_nodes ~frontier_peak ~het_hits =
-  match t.recorder with
-  | None -> ()
-  | Some rec_ ->
-    let r =
-      Flight_recorder.record rec_ ~query:key.Canonical.text
-        ~hash:key.Canonical.hash ~cache:(flight_status status)
-        ~estimate:outcome.Core.Estimator.value ~canonicalize_s ~ept_s ~match_s
-        ~ept_nodes ~frontier_peak
-        ~degenerate_clamps:outcome.Core.Estimator.clamped ~het_hits
-        ~feedback_round:t.feedback_rounds
-    in
-    (match t.on_record with None -> () | Some f -> f r)
-
-(* A refusal (deadline exceeded) still leaves a flight record — zero
-   estimate, zero stage times — so the drop is visible in RECENT and the
-   telemetry stream rather than silently missing from both. *)
-let record_refusal t ~(key : Canonical.key) ~cache =
-  match t.recorder with
-  | None -> ()
-  | Some rec_ ->
-    let r =
-      Flight_recorder.record rec_ ~query:key.Canonical.text
-        ~hash:key.Canonical.hash ~cache ~estimate:0.0 ~canonicalize_s:0.0
-        ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0 ~frontier_peak:0
-        ~degenerate_clamps:0 ~het_hits:0 ~feedback_round:t.feedback_rounds
-    in
-    (match t.on_record with None -> () | Some f -> f r)
-
-let timeout_error () =
-  Core.Error.make Core.Error.Timeout "request deadline exceeded"
-
-(* Fold completed shadow audits back into the serving thread: the audit
-   domain only fills a result list, so Drift.observe and the flight ring are
-   still touched by one thread only (this one). Called from the start of
-   every estimate (cheap atomic check when nothing completed) and by the
-   AUDIT verb. *)
-let drain_audits t =
-  match t.auditor with
-  | None -> ()
-  | Some a ->
-    Auditor.drain a (fun r ->
-        (match t.drift with
-         | Some d ->
-           ignore
-             (Drift.observe ?obs:(Some t.metrics) d
-                ~estimate:r.Auditor.estimate ~actual:r.Auditor.actual
-               : float)
-         | None -> ());
-        (match t.recorder with
-         | None -> ()
-         | Some rec_ ->
-           let worst_step, worst_axis, contribution =
-             match r.Auditor.worst with
-             | None -> ("", "", 1.0)
-             | Some w ->
-               (w.Auditor.step, w.Auditor.axis, w.Auditor.contribution)
-           in
-           let fr =
-             Flight_recorder.record rec_
-               ~audit:
-                 { Flight_recorder.audit_actual = r.Auditor.actual;
-                   audit_qerror = r.Auditor.qerror;
-                   audit_worst_step = worst_step;
-                   audit_worst_axis = worst_axis;
-                   audit_contribution = contribution }
-               ~query:r.Auditor.query ~hash:r.Auditor.hash
-               ~cache:Flight_recorder.Audited ~estimate:r.Auditor.estimate
-               ~canonicalize_s:0.0 ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0
-               ~frontier_peak:0 ~degenerate_clamps:0 ~het_hits:0
-               ~feedback_round:t.feedback_rounds
-           in
-           (match t.on_record with None -> () | Some f -> f fr));
-        if Auditor.feedback_enabled a then begin
-          let fb =
-            Feedback.apply ?ept:t.ept ~threshold:t.threshold t.estimator
-              r.Auditor.ast ~estimate:r.Auditor.estimate
-              ~actual:r.Auditor.actual
-          in
-          if fb.Feedback.refined then begin
-            t.feedback_rounds <- t.feedback_rounds + 1;
-            Auditor.note_refined a;
-            invalidate t
-          end
-        end)
-
-(* The whole request as an X slice plus canonicalize / pipeline sub-slices,
-   recorded only when tracing is on — the stamps reuse the stage clocks the
-   flight recorder already reads, so single-engine and pool traces line up. *)
-let trace_request t ~t0 ~canonicalize_s ~t1 ~miss_s =
-  match t.tracing with
-  | None -> ()
-  | Some tg ->
-    let te = Obs.now_mono () in
-    Obs.Trace.complete tg.tbuf ~name:tg.names.n_canonicalize
-      ~ts:(Obs.Trace.rel tg.tr t0) ~dur:canonicalize_s;
-    if miss_s > 0.0 then
-      Obs.Trace.complete tg.tbuf ~name:tg.names.n_pipeline
-        ~ts:(Obs.Trace.rel tg.tr t1) ~dur:miss_s;
-    Obs.Trace.complete tg.tbuf ~name:tg.names.n_estimate
-      ~ts:(Obs.Trace.rel tg.tr t0) ~dur:(te -. t0)
-
-let sample_audit t ~(key : Canonical.key) ~cast ~value =
-  match t.auditor with
-  | None -> ()
-  | Some a ->
-    Auditor.sample a ~query:key.Canonical.text ~hash:key.Canonical.hash
-      ~ast:cast ~estimate:value
-
 let estimate_ast t ast =
   drain_audits t;
   let t0 = Obs.now_mono () in
-  let cast = Canonical.canonicalize ast in
-  let key = Canonical.of_ast cast in
-  let canonicalize_s = Obs.now_mono () -. t0 in
-  match Lru_cache.find t.cache key.Canonical.text with
-  | Some outcome ->
-    (match t.drift with Some d -> Drift.note_estimate d ~cache_hit:true | None -> ());
-    record_flight t ~key ~status:Core.Explain.Hit ~outcome ~canonicalize_s
-      ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0 ~frontier_peak:0 ~het_hits:0;
-    sample_audit t ~key ~cast ~value:outcome.Core.Estimator.value;
-    trace_request t ~t0 ~canonicalize_s ~t1:t0 ~miss_s:0.0;
-    Ok { key; outcome; status = Core.Explain.Hit }
-  | None
-    when (match t.deadline_s with
-          | Some d -> Obs.now_mono () -. t0 > d
-          | None -> false) ->
-    (* Deadline check sits between canonicalize (cheap, already spent) and
-       the pipeline (the expensive part we refuse to start). A cache hit
-       above never times out: answering it is cheaper than refusing. *)
-    t.timed_out <- t.timed_out + 1;
-    record_refusal t ~key ~cache:Flight_recorder.Timed_out;
-    Error (timeout_error ())
-  | None ->
-    let ept_spent = ref 0.0 in
-    let het_before = het_hits_snapshot t in
-    let t1 = Obs.now_mono () in
-    (match
-       Core.Estimator.estimate_result_stats_on t.estimator
-         (ept_lazy_timed t ept_spent)
-         cast
-     with
-     | Ok (outcome, ms) ->
-       let miss_s = Obs.now_mono () -. t1 in
-       Lru_cache.put t.cache key.Canonical.text outcome;
-       (match t.drift with
-        | Some d -> Drift.note_estimate d ~cache_hit:false
-        | None -> ());
-       record_flight t ~key ~status:Core.Explain.Miss ~outcome ~canonicalize_s
-         ~ept_s:!ept_spent
-         ~match_s:(Float.max 0.0 (miss_s -. !ept_spent))
-         ~ept_nodes:ms.Core.Matcher.ept_nodes
-         ~frontier_peak:ms.Core.Matcher.frontier_peak
-         ~het_hits:(het_hits_since t het_before);
-       sample_audit t ~key ~cast ~value:outcome.Core.Estimator.value;
-       trace_request t ~t0 ~canonicalize_s ~t1 ~miss_s;
-       Ok { key; outcome; status = Core.Explain.Miss }
-     | Error e -> Error e)
-
-let parse query =
-  match Xpath.Parser.parse_result query with
-  | Result.Error { position; message } ->
-    Result.Error (Core.Error.make ~position Core.Error.Malformed_query message)
-  | Ok path -> Ok path
+  let r = Shard.estimate ~enqueued_at:t0 t.shard ast in
+  if Result.is_ok r then trace_slice t (fun tg -> tg.n_estimate) t0;
+  r
 
 let estimate t query =
-  match parse query with Error e -> Error e | Ok ast -> estimate_ast t ast
+  match Shard.parse query with Error e -> Error e | Ok ast -> estimate_ast t ast
 
 let estimate_batch t queries = List.map (estimate t) queries
 
-let trace_verb t name t0 =
-  match t.tracing with
-  | None -> ()
-  | Some tg ->
-    let name =
-      if name = `Feedback then tg.names.n_feedback else tg.names.n_explain
-    in
-    Obs.Trace.complete tg.tbuf ~name ~ts:(Obs.Trace.rel tg.tr t0)
-      ~dur:(Obs.now_mono () -. t0)
-
 let feedback_ast t ast ~actual =
-  let tf0 = Obs.now_mono () in
-  Fun.protect
-    ~finally:(fun () -> trace_verb t `Feedback tf0)
+  let t0 = Obs.now_mono () in
+  Fun.protect ~finally:(fun () -> trace_slice t (fun tg -> tg.n_feedback) t0)
   @@ fun () ->
-  match estimate_ast t ast with
-  | Error e -> Error e
-  | Ok served ->
-    t.feedback_seen <- t.feedback_seen + 1;
-    (match t.drift with
-     | Some d ->
-       ignore
-         (Drift.observe ?obs:(Some t.metrics) d
-            ~estimate:served.outcome.Core.Estimator.value ~actual
-           : float)
-     | None -> ());
-    let fb =
-      Feedback.apply ?ept:t.ept ~threshold:t.threshold t.estimator
-        (Canonical.canonicalize ast)
-        ~estimate:served.outcome.Core.Estimator.value ~actual
-    in
-    if fb.Feedback.refined then begin
-      t.feedback_rounds <- t.feedback_rounds + 1;
-      invalidate t
-    end;
-    Ok (served, fb)
+  drain_audits t;
+  Shard.feedback ~enqueued_at:t0 ~refresh:(fun () -> invalidate t) t.shard ast
+    ~actual
 
 let feedback t query ~actual =
-  match parse query with Error e -> Error e | Ok ast -> feedback_ast t ast ~actual
+  match Shard.parse query with
+  | Error e -> Error e
+  | Ok ast -> feedback_ast t ast ~actual
 
 let explain t query =
-  match parse query with
+  match Shard.parse query with
   | Error e -> Error e
   | Ok ast ->
     let t0 = Obs.now_mono () in
-    Fun.protect ~finally:(fun () -> trace_verb t `Explain t0) @@ fun () ->
-    let cast = Canonical.canonicalize ast in
-    let key = Canonical.of_ast cast in
-    let canonicalize_s = Obs.now_mono () -. t0 in
-    let cached = Lru_cache.mem t.cache key.Canonical.text in
-    let het_before = het_hits_snapshot t in
-    (match
-       Core.Error.guard (fun () ->
-           let qt = Xpath.Query_tree.of_path cast in
-           if qt.Xpath.Query_tree.size > 62 then
-             Core.Error.raisef Core.Error.Malformed_query
-               "query tree has %d nodes; the matcher's bitset encoding \
-                supports 62"
-               qt.Xpath.Query_tree.size;
-           match Core.Explain.run ?obs:t.obs t.estimator cast with
-           | r -> r
-           | exception Core.Matcher.Ept_too_large n ->
-             Core.Error.raisef Core.Error.Limit_exceeded
-               "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
-     with
-     | Ok r ->
-       let status = if cached then Core.Explain.Hit else Core.Explain.Miss in
-       record_flight t ~key ~status
-         ~outcome:
-           { Core.Estimator.value = r.Core.Explain.estimate;
-             clamped = r.Core.Explain.degenerate_clamps;
-             unknown_labels = r.Core.Explain.unknown_labels }
-         ~canonicalize_s ~ept_s:r.Core.Explain.ept_seconds
-         ~match_s:r.Core.Explain.match_seconds
-         ~ept_nodes:r.Core.Explain.ept_nodes
-         ~frontier_peak:r.Core.Explain.matcher.Core.Matcher.frontier_peak
-         ~het_hits:(het_hits_since t het_before);
-       Ok
-         { r with
-           Core.Explain.cache = status;
-           feedback_rounds = t.feedback_rounds }
-     | Error e -> Error e)
+    Fun.protect ~finally:(fun () -> trace_slice t (fun tg -> tg.n_explain) t0)
+    @@ fun () ->
+    Shard.explain ?obs:t.obs ~cached:(Lru_cache.mem t.cache) t.shard ast
 
 let stats_json t =
-  let open Obs.Json in
-  let c = Lru_cache.counters t.cache in
-  let het_json =
-    match Core.Estimator.het t.estimator with
-    | None -> Null
-    | Some h ->
-      let u = Core.Het.counters h in
-      Obj
-        [ ("active", Int (Core.Het.active_count h));
-          ("total", Int (Core.Het.total_count h));
-          ("bytes", Int (Core.Het.size_in_bytes h));
-          ("simple_lookups", Int u.Core.Het.simple_lookups);
-          ("simple_hits", Int u.Core.Het.simple_hits);
-          ("branching_lookups", Int u.Core.Het.branching_lookups);
-          ("branching_hits", Int u.Core.Het.branching_hits);
-          ("feedback_inserts", Int u.Core.Het.feedback_inserts);
-          ("collisions", Int u.Core.Het.collisions) ]
-  in
-  Obj
-    [ ( "cache",
-        Obj
-          [ ("capacity", Int (Lru_cache.capacity t.cache));
-            ("size", Int (Lru_cache.length t.cache));
-            ("hits", Int c.Lru_cache.hits);
-            ("misses", Int c.Lru_cache.misses);
-            ("insertions", Int c.Lru_cache.insertions);
-            ("evictions", Int c.Lru_cache.evictions);
-            ("invalidations", Int c.Lru_cache.invalidations) ] );
-      ( "feedback",
-        Obj
-          [ ("seen", Int t.feedback_seen);
-            ("rounds", Int t.feedback_rounds);
-            ("qerror_threshold", Float t.threshold) ] );
-      ("het", het_json);
-      ("timeouts", Int t.timed_out);
-      ("synopsis_bytes", Int (Core.Estimator.size_in_bytes t.estimator)) ]
+  let s = shared t in
+  Obs.Json.Obj
+    (Shard.stats_fields s ~capacity:(Lru_cache.capacity t.cache)
+       ~size:(Lru_cache.length t.cache) (Lru_cache.counters t.cache)
+    @ [ ("timeouts", Obs.Json.Int (timed_out t));
+        ( "synopsis_bytes",
+          Obs.Json.Int (Core.Estimator.size_in_bytes s.Shard.base) ) ])
 
 let publish_counters t =
   Lru_cache.publish_counters ?obs:t.obs t.cache;
-  Obs.add_to ?obs:t.obs "engine.feedback.seen" t.feedback_seen;
-  Obs.add_to ?obs:t.obs "engine.feedback.rounds" t.feedback_rounds;
+  Obs.add_to ?obs:t.obs "engine.feedback.seen" (feedback_seen t);
+  Obs.add_to ?obs:t.obs "engine.feedback.rounds" (feedback_rounds t);
   Option.iter
     (Core.Het.publish_counters ?obs:t.obs)
-    (Core.Estimator.het t.estimator)
+    (Core.Estimator.het (estimator t))
 
 (* Republish every engine-level total into the scrape registry. Counters go
    through set_max so republishing before each scrape is idempotent;
@@ -446,41 +166,14 @@ let publish_counters t =
 let publish_telemetry t =
   let obs = t.metrics in
   let c = Lru_cache.counters t.cache in
-  Obs.max_to ~obs "engine.cache.hits" c.Lru_cache.hits;
-  Obs.max_to ~obs "engine.cache.misses" c.Lru_cache.misses;
-  Obs.max_to ~obs "engine.cache.insertions" c.Lru_cache.insertions;
-  Obs.max_to ~obs "engine.cache.evictions" c.Lru_cache.evictions;
-  Obs.max_to ~obs "engine.cache.invalidations" c.Lru_cache.invalidations;
-  Obs.set_to ~obs "engine.cache.size" (float_of_int (Lru_cache.length t.cache));
-  Obs.set_to ~obs "engine.cache.capacity"
-    (float_of_int (Lru_cache.capacity t.cache));
-  Obs.max_to ~obs "engine.feedback.seen" t.feedback_seen;
-  Obs.max_to ~obs "engine.feedback.rounds" t.feedback_rounds;
-  Obs.max_to ~obs "engine.timeouts" t.timed_out;
-  Obs.set_to ~obs "engine.synopsis_bytes"
-    (float_of_int (Core.Estimator.size_in_bytes t.estimator));
-  (match Core.Estimator.het t.estimator with
-   | None -> ()
-   | Some h ->
-     let u = Core.Het.counters h in
-     Obs.set_to ~obs "engine.het.active" (float_of_int (Core.Het.active_count h));
-     Obs.set_to ~obs "engine.het.total" (float_of_int (Core.Het.total_count h));
-     Obs.set_to ~obs "engine.het.bytes" (float_of_int (Core.Het.size_in_bytes h));
-     Obs.max_to ~obs "het.simple_lookups" u.Core.Het.simple_lookups;
-     Obs.max_to ~obs "het.simple_hits" u.Core.Het.simple_hits;
-     Obs.max_to ~obs "het.branching_lookups" u.Core.Het.branching_lookups;
-     Obs.max_to ~obs "het.branching_hits" u.Core.Het.branching_hits;
-     Obs.max_to ~obs "het.feedback_inserts" u.Core.Het.feedback_inserts;
-     Obs.max_to ~obs "het.collisions" u.Core.Het.collisions);
-  (match t.recorder with
-   | None -> ()
-   | Some r ->
-     Obs.max_to ~obs "engine.flight.records" (Flight_recorder.total r));
-  (match t.auditor with None -> () | Some a -> Auditor.publish a obs);
+  Shard.publish (shared t) obs ~capacity:(Lru_cache.capacity t.cache)
+    ~size:(Lru_cache.length t.cache)
+    ~flight_records:(Option.map Flight_recorder.total (recorder t))
+    c;
+  Obs.max_to ~obs "engine.timeouts" (timed_out t);
   Scrape_meter.publish t.scrape ~obs
-    ~served:(c.Lru_cache.hits + c.Lru_cache.misses + t.timed_out
-             + t.feedback_seen);
-  match t.drift with None -> () | Some d -> Drift.publish d obs
+    ~served:
+      (c.Lru_cache.hits + c.Lru_cache.misses + timed_out t + feedback_seen t)
 
 let metrics_text t =
   let t0 = Obs.now_mono () in
@@ -496,12 +189,8 @@ let telemetry_disabled () =
    the results in, and reports — so a serve session at --audit-rate 1.0 can
    be diffed float-for-float against the offline `xseed audit` report. *)
 let audit_reply t =
-  match t.auditor with
-  | None ->
-    Error
-      (Core.Error.make Core.Error.Internal
-         "auditing is disabled (serve with --audit-rate and a source \
-          document)")
+  match auditor t with
+  | None -> Error (Shard.audit_disabled ())
   | Some a ->
     ignore (Auditor.settle ~timeout_s:5.0 a : bool);
     drain_audits t;
@@ -534,41 +223,20 @@ let profile t queries =
       tenant = None }
 
 let server t =
-  { Serve.estimate =
-      (fun q ->
-        match estimate t q with
-        | Ok s ->
-          Ok
-            { Serve.value = s.outcome.Core.Estimator.value;
-              status = s.status }
-        | Error e -> Error e);
-    estimate_batch =
-      (fun qs ->
-        List.map
-          (fun q ->
-            match estimate t q with
-            | Ok s ->
-              Ok
-                { Serve.value = s.outcome.Core.Estimator.value;
-                  status = s.status }
-            | Error e -> Error e)
-          qs);
-    feedback =
-      (fun q ~actual ->
-        match feedback t q ~actual with
-        | Ok (_, fb) -> Ok fb
-        | Error e -> Error e);
+  { Serve.estimate = (fun q -> Shard.reply (estimate t q));
+    estimate_batch = (fun qs -> List.map (fun q -> Shard.reply (estimate t q)) qs);
+    feedback = (fun q ~actual -> Result.map snd (feedback t q ~actual));
     explain = (fun q -> explain t q);
     stats_json = (fun () -> stats_json t);
     metrics_text = (fun () -> metrics_text t);
     recent =
       (fun n ->
-        match t.recorder with
+        match recorder t with
         | None -> Error (telemetry_disabled ())
         | Some r -> Ok (Flight_recorder.recent ?n r));
     drift_json =
       (fun () ->
-        match t.drift with
+        match drift t with
         | None -> Error (telemetry_disabled ())
         | Some d -> Ok (Drift.to_json d));
     profile = (fun qs -> profile t qs);
@@ -577,7 +245,4 @@ let server t =
 module Protocol = struct
   let handle_line t raw =
     Serve.handle_request (server t) ~read_line:(fun () -> None) raw
-
-  let run ?on_request ?max_batch t ic oc =
-    Serve.run ?on_request ?max_batch (server t) ic oc
 end

@@ -1,6 +1,11 @@
 (** The single-threaded serving engine: one loaded synopsis answering a
     stream of estimate requests, learning from execution feedback as it
-    goes. Re-exported (with the rest of the serving layer) as {!Engine}. *)
+    goes. It is the inline front end of the {!Shard} pipeline: one shard,
+    served on the caller's thread, with its own estimate cache and an EPT
+    built lazily on the first miss (so dropping it, as registry eviction
+    does, never builds one). {!Pool} drives N of the same shards behind a
+    work queue. Re-exported (with the rest of the serving layer) as
+    {!Engine}. *)
 
 type t
 
@@ -52,7 +57,7 @@ val timed_out : t -> int
 (** Requests refused with [Error Timeout] because they overran the
     engine's [deadline_s]; always 0 without one. *)
 
-type served = {
+type served = Shard.served = {
   key : Canonical.key;
   outcome : Core.Estimator.outcome;
   status : Core.Explain.cache_status;
@@ -163,24 +168,11 @@ val server : t -> Serve.server
     [xseed serve] (without [--workers]) runs. *)
 
 (** The [xseed serve] line protocol over a single engine; see {!Serve} for
-    the verb surface (including [BATCH]). Kept as a module for
-    compatibility: [handle_line] answers one self-contained line
-    (a [BATCH] here reads no payload lines, so its slots report
-    end-of-input errors). *)
+    the verb surface (including [BATCH]). [handle_line] answers one
+    self-contained line (a [BATCH] here reads no payload lines, so its
+    slots report end-of-input errors). *)
 module Protocol : sig
   val handle_line : t -> string -> string option
   (** [None] for a blank line, otherwise the complete response (no trailing
       newline; multi-line for successful [METRICS]/[RECENT]/[BATCH]). *)
-
-  val run :
-    ?on_request:(unit -> unit) ->
-    ?max_batch:int ->
-    t ->
-    in_channel ->
-    out_channel ->
-    unit
-  (** Serve until EOF, flushing after every response. [on_request] runs
-      after each non-blank request has been answered and flushed — the
-      CLI's [--snapshot-every] hook. [max_batch] overrides the per-batch
-      cap (default {!Serve.max_batch}). *)
 end

@@ -44,7 +44,10 @@ type record = {
   ept_nodes : int;  (** EPT nodes visited by the matcher; 0 on cache hit *)
   frontier_peak : int;
   degenerate_clamps : int;
-  het_hits : int;  (** HET lookups answered for this query (simple + branching) *)
+  het_hits : int;
+      (** HET lookups the matcher answered for this query (simple +
+          branching); building the shared EPT is not charged to the query
+          that happened to trigger it *)
   feedback_round : int;  (** engine feedback round at answer time *)
   tenant : string option;
       (** owning tenant when the ring belongs to a registry-managed engine

@@ -114,21 +114,8 @@ let scan_string ?path s =
 
 let scan_string s = scan_string ?path:None s
 
-let read_file path =
-  if not (Sys.file_exists path) then
-    Error (Core.Error.make Core.Error.Missing_file ("no such file: " ^ path))
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | s -> Ok s
-    | exception Sys_error m -> Error (Core.Error.make Core.Error.Io_error m)
-
 let scan_file path =
-  match read_file path with
+  match Core.Error.read_file path with
   | Error _ as e -> e
   | Ok s ->
     (match scan_string s with
@@ -174,7 +161,7 @@ let open_append ?(fsync = `Always) path =
    | _ -> ());
   let existing =
     if Sys.file_exists path then
-      match read_file path with Ok s -> Some s | Error _ -> None
+      match Core.Error.read_file path with Ok s -> Some s | Error _ -> None
     else None
   in
   match existing with

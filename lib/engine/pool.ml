@@ -1,8 +1,9 @@
-(* Multi-domain serving pool.
+(* Multi-domain serving pool: N {!Shard}s behind one work queue.
 
    One synopsis (kernel + HET + values) and one materialized EPT are shared
-   read-only by N worker domains; everything written on the estimate hot
-   path is per-shard (LRU cache, flight-recorder ring, Obs registry, drift
+   read-only by N worker domains, each running the same shard pipeline the
+   single engine runs inline; everything written on the estimate hot path
+   is per-shard (LRU cache, flight-recorder ring, Obs registry, drift
    volume ring), so answering an estimate takes no lock beyond the work
    queue's own mutex. Writes to the shared state — HET refinement and the
    EPT rebuild — happen only on the feedback path, which is single-writer:
@@ -13,9 +14,9 @@
    acquire/release pairs give the happens-before edge that makes the new
    EPT pointer and HET contents visible to them.
 
-   Since PR 10 the unit of dispatch is a chunk: BATCH n is split into
-   contiguous per-shard slices (DESIGN.md §16), one queue operation per
-   chunk. Replies are written lock-free into the batch's preallocated
+   The unit of dispatch is a chunk: BATCH n is split into contiguous
+   per-shard slices (DESIGN.md §16), one queue operation per chunk.
+   Replies are written lock-free into the batch's preallocated
    submission-order result array; the only latch is one idempotent
    completion per chunk, published to the submitter by the batch mutex.
    Idle shards steal chunks from the tail of busy shards' deques
@@ -26,8 +27,6 @@
    record integer ids only. *)
 type trace_names = {
   n_execute : int;
-  n_canonicalize : int;
-  n_pipeline : int;
   n_queue_wait : int;
   n_batch_submit : int;
   n_batch_gather : int;
@@ -83,12 +82,10 @@ type hot = {
 
 and shard = {
   id : int;
-  estimator : Core.Estimator.t;
-      (* shares the base estimator's kernel/HET/values, owns its registry *)
+  core : Shard.t;
+      (* its estimator shares the base's kernel/HET/values, owns [obs] *)
   obs : Obs.t;
   cache : Core.Estimator.outcome Lru_cache.t;
-  recorder : Flight_recorder.t option;
-  drift_shard : Drift.shard option;
   tbuf : Obs.Trace.buf option;  (* written only by this shard's domain *)
   hot : hot;  (* all per-shard mutable scalars live here, padded *)
   queue_wait_us : Obs.histogram;  (* in [obs]; merges pool-wide by key *)
@@ -135,18 +132,18 @@ and chunk = {
 }
 
 type t = {
-  base : Core.Estimator.t;
-  threshold : float;
+  shared : Shard.shared;
+  coord : Shard.t;
+      (* the coordinator shard: base estimator, no cache, its own ring; runs
+         the drained verbs and records sheds *)
   shards : shard array;
   queue : chunk Work_queue.t;
   chunk_target : int;  (* preferred slots per chunk *)
   mutable domains : unit Domain.t array;
   epoch : int Atomic.t;
   inflight : int Atomic.t;  (* chunks queued or executing *)
-  deadline_s : float option;  (* per-request budget from enqueue, mono clock *)
   shed_policy : [ `Block | `Shed_newest ];
   shed_total : int Atomic.t;
-  timeout_total : int Atomic.t;
   worker_restarts : int Atomic.t;
   chaos : (string -> bool) option;
       (* test-only fault hook, called on the worker domain right before a
@@ -160,48 +157,16 @@ type t = {
   drain_lock : Mutex.t;
   drain_cond : Condition.t;
   submit_lock : Mutex.t;  (* serializes submissions against feedback *)
-  mutable ept : (Core.Matcher.ept, Core.Error.t) result;
   mutable next_seq : int;  (* under submit_lock *)
-  drift : Drift.t option;  (* q-error window + coordinator volume ring *)
-  recorder : Flight_recorder.t option;  (* coordinator ring: feedback/explain *)
-  record_lock : Mutex.t;
-  mutable on_record : (Flight_recorder.record -> unit) option;
-  mutable feedback_seen : int;
-  mutable feedback_rounds : int;
+  record_lock : Mutex.t;  (* serializes the flight-record sink *)
   mutable stopped : bool;
   telemetry : bool;
   created_at : float;  (* monotonic; busy fractions divide by uptime *)
   coord_obs : Obs.t;  (* persistent coordinator registry (batch sizes) *)
   batch_chunk : Obs.histogram;  (* in [coord_obs] *)
   tracing : tracing option;
-  auditor : Auditor.t option;
-      (* shadow auditor; workers call its thread-safe [sample], results are
-         folded back only under [submit_lock] with the workers drained *)
   scrape : Scrape_meter.t;
 }
-
-let with_lock m f =
-  Mutex.lock m;
-  match f () with
-  | v ->
-    Mutex.unlock m;
-    v
-  | exception e ->
-    Mutex.unlock m;
-    raise e
-
-let materialize_ept estimator =
-  Core.Error.guard (fun () ->
-      try Core.Estimator.ept estimator
-      with Core.Matcher.Ept_too_large n ->
-        Core.Error.raisef Core.Error.Limit_exceeded
-          "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
-
-let parse query =
-  match Xpath.Parser.parse_result query with
-  | Result.Error { position; message } ->
-    Result.Error (Core.Error.make ~position Core.Error.Malformed_query message)
-  | Ok path -> Ok path
 
 (* The chunk plan, a pure function so the partition laws are directly
    QCheck-able (test_pool). [n] slots are cut into
@@ -226,27 +191,6 @@ let plan_chunks ~n ~workers ~chunk_target ?preferred () =
         (lo, hi, shard))
   end
 
-let emit_record t recorder ~seq ~(key : Canonical.key) ~status
-    ~(outcome : Core.Estimator.outcome) ~canonicalize_s ~ept_s ~match_s
-    ~ept_nodes ~frontier_peak ~het_hits =
-  match recorder with
-  | None -> ()
-  | Some rec_ ->
-    let r =
-      Flight_recorder.record ~seq rec_ ~query:key.Canonical.text
-        ~hash:key.Canonical.hash ~cache:status
-        ~estimate:outcome.Core.Estimator.value ~canonicalize_s ~ept_s ~match_s
-        ~ept_nodes ~frontier_peak
-        ~degenerate_clamps:outcome.Core.Estimator.clamped ~het_hits
-        ~feedback_round:t.feedback_rounds
-    in
-    (match t.on_record with
-     | None -> ()
-     | Some f -> with_lock t.record_lock (fun () -> f r))
-
-let timeout_error () =
-  Core.Error.make Core.Error.Timeout "request deadline exceeded"
-
 (* Limit refusals name the live limit in the uniform limit=<n> form (the
    same convention as the BATCH cap and the TCP frame/connection caps) so
    clients can parse their budget out of any ERR. *)
@@ -257,33 +201,17 @@ let overloaded_error ~capacity () =
         shed (policy shed-newest)"
        capacity)
 
-(* A refusal (deadline exceeded, load shed) still leaves a flight record —
-   zero estimate, zero stage times — so drops are visible in RECENT and the
-   telemetry stream. Timeouts land on the refusing shard's ring; sheds on
-   the coordinator's (the refusal happens under [submit_lock]). *)
-let emit_refusal t recorder ~seq ~query ~hash ~cache =
-  match recorder with
-  | None -> ()
-  | Some rec_ ->
-    let r =
-      Flight_recorder.record ~seq rec_ ~query ~hash ~cache ~estimate:0.0
-        ~canonicalize_s:0.0 ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0
-        ~frontier_peak:0 ~degenerate_clamps:0 ~het_hits:0
-        ~feedback_round:t.feedback_rounds
-    in
-    (match t.on_record with
-     | None -> ()
-     | Some f -> with_lock t.record_lock (fun () -> f r))
-
 let past_deadline t ~enqueued_at ~now =
-  match t.deadline_s with None -> false | Some d -> now -. enqueued_at > d
+  match t.shared.Shard.deadline_s with
+  | None -> false
+  | Some d -> now -. enqueued_at > d
 
 (* Crash bookkeeping: a query whose execution has killed a worker twice is
    quarantined — subsequent submissions are answered [ERR internal] before
    executing, so one poisonous input cannot grind the pool through endless
    restarts. *)
 let note_crash t query =
-  with_lock t.quarantine_lock (fun () ->
+  Mutex.protect t.quarantine_lock (fun () ->
       let n =
         (match Hashtbl.find_opt t.crash_counts query with
          | Some n -> n
@@ -298,121 +226,18 @@ let note_crash t query =
 
 let is_quarantined t query =
   Atomic.get t.quarantine_active
-  && with_lock t.quarantine_lock (fun () ->
+  && Mutex.protect t.quarantine_lock (fun () ->
          Hashtbl.mem t.quarantined_queries query)
 
 let quarantined_count t =
   if not (Atomic.get t.quarantine_active) then 0
   else
-    with_lock t.quarantine_lock (fun () ->
+    Mutex.protect t.quarantine_lock (fun () ->
         Hashtbl.length t.quarantined_queries)
 
 let quarantined_error () =
   Core.Error.make Core.Error.Internal
     "query quarantined: its execution crashed a worker twice"
-
-let het_counters t =
-  Option.map Core.Het.counters (Core.Estimator.het t.base)
-
-(* HET counters are shared across domains and bumped racily, so the
-   per-query delta is best-effort under concurrency (exact whenever requests
-   are sequential); clamp so a racing reader never records a negative. *)
-let het_hits_since t before =
-  match (before, Core.Estimator.het t.base) with
-  | Some before, Some h ->
-    let d = Core.Het.diff_counters ~before ~after:(Core.Het.counters h) in
-    max 0 (d.Core.Het.simple_hits + d.Core.Het.branching_hits)
-  | _ -> 0
-
-(* The estimate hot path, run on a worker domain against its own shard.
-   Mirrors Engine_core.estimate_ast step for step so pool estimates are
-   bit-identical to single-engine ones over the same synopsis. *)
-(* Stage sub-slices on the serving shard's track, inside the worker's
-   [execute] slice. No-ops unless the pool is tracing. *)
-let trace_stage t shard ~name ~t0 ~dur =
-  match (t.tracing, shard.tbuf) with
-  | Some tg, Some tb ->
-    let name =
-      if name = `Canonicalize then tg.names.n_canonicalize
-      else tg.names.n_pipeline
-    in
-    Obs.Trace.complete tb ~name ~ts:(Obs.Trace.rel tg.tr t0) ~dur
-  | _ -> ()
-
-let serve_query t shard ~seq ~enqueued_at query =
-  match parse query with
-  | Error e -> Error e
-  | Ok ast ->
-    let t0 = Obs.now_mono () in
-    let cast = Canonical.canonicalize ast in
-    let key = Canonical.of_ast cast in
-    let canonicalize_s = Obs.now_mono () -. t0 in
-    trace_stage t shard ~name:`Canonicalize ~t0 ~dur:canonicalize_s;
-    (match Lru_cache.find shard.cache key.Canonical.text with
-     | Some outcome ->
-       (match shard.drift_shard with
-        | Some s -> Drift.note_shard s ~cache_hit:true
-        | None -> ());
-       emit_record t shard.recorder ~seq ~key ~status:Flight_recorder.Hit
-         ~outcome ~canonicalize_s ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0
-         ~frontier_peak:0 ~het_hits:0;
-       (match t.auditor with
-        | Some a ->
-          Auditor.sample a ~query:key.Canonical.text ~hash:key.Canonical.hash
-            ~ast:cast ~estimate:outcome.Core.Estimator.value
-        | None -> ());
-       Ok
-         { Serve.value = outcome.Core.Estimator.value;
-           status = Core.Explain.Hit }
-     | None
-       when past_deadline t ~enqueued_at ~now:(Obs.now_mono ()) ->
-       (* Second deadline checkpoint, between canonicalize (cheap, already
-          spent) and the pipeline (the expensive stage we refuse to start).
-          A cache hit above always answers: serving it is cheaper than
-          refusing. *)
-       Atomic.incr t.timeout_total;
-       emit_refusal t shard.recorder ~seq ~query:key.Canonical.text
-         ~hash:key.Canonical.hash ~cache:Flight_recorder.Timed_out;
-       Error (timeout_error ())
-     | None ->
-       let ept_spent = ref 0.0 in
-       let ept =
-         lazy
-           (let t1 = Obs.now_mono () in
-            let e =
-              match t.ept with
-              | Ok e -> e
-              | Error err -> raise (Core.Error.Xseed err)
-            in
-            ept_spent := Obs.now_mono () -. t1;
-            e)
-       in
-       let het_before = het_counters t in
-       let t1 = Obs.now_mono () in
-       (match Core.Estimator.estimate_result_stats_on shard.estimator ept cast with
-        | Ok (outcome, ms) ->
-          let miss_s = Obs.now_mono () -. t1 in
-          trace_stage t shard ~name:`Pipeline ~t0:t1 ~dur:miss_s;
-          Lru_cache.put shard.cache key.Canonical.text outcome;
-          (match shard.drift_shard with
-           | Some s -> Drift.note_shard s ~cache_hit:false
-           | None -> ());
-          emit_record t shard.recorder ~seq ~key ~status:Flight_recorder.Miss
-            ~outcome ~canonicalize_s ~ept_s:!ept_spent
-            ~match_s:(Float.max 0.0 (miss_s -. !ept_spent))
-            ~ept_nodes:ms.Core.Matcher.ept_nodes
-            ~frontier_peak:ms.Core.Matcher.frontier_peak
-            ~het_hits:(het_hits_since t het_before);
-          (match t.auditor with
-           | Some a ->
-             Auditor.sample a ~query:key.Canonical.text
-               ~hash:key.Canonical.hash ~ast:cast
-               ~estimate:outcome.Core.Estimator.value
-           | None -> ());
-          Ok
-            { Serve.value = outcome.Core.Estimator.value;
-              status = Core.Explain.Miss }
-        | Error e -> Error e))
 
 (* Retire a chunk exactly once: decrement the parent batch by the chunk's
    slot count and the pool's in-flight chunk count. Both the worker that
@@ -422,7 +247,7 @@ let serve_query t shard ~seq ~enqueued_at query =
 let complete_chunk t (c : chunk) =
   let slots = c.c_hi - c.c_base in
   let first =
-    with_lock c.c_parent.batch_lock (fun () ->
+    Mutex.protect c.c_parent.batch_lock (fun () ->
         if c.c_done then false
         else begin
           c.c_done <- true;
@@ -435,7 +260,7 @@ let complete_chunk t (c : chunk) =
   if first then begin
     let before = Atomic.fetch_and_add t.inflight (-1) in
     if before = 1 then
-      with_lock t.drain_lock (fun () -> Condition.broadcast t.drain_cond)
+      Mutex.protect t.drain_lock (fun () -> Condition.broadcast t.drain_cond)
   end
 
 (* The thief-side split for a victim's last queued chunk: the victim keeps
@@ -520,10 +345,10 @@ let worker_loop t shard =
           (* First deadline checkpoint, per slot: the budget runs from the
              chunk's enqueue, so a deadline can expire mid-chunk — earlier
              slots answered, later ones refused. *)
-          Atomic.incr t.timeout_total;
-          emit_refusal t shard.recorder ~seq ~query ~hash:0
+          Atomic.incr t.shared.Shard.timeouts;
+          Shard.refuse ~seq shard.core ~query ~hash:0
             ~cache:Flight_recorder.Timed_out;
-          Error (timeout_error ())
+          Error (Shard.timeout_error ())
         end
         else begin
           (* The chaos hook sits outside the per-query guard below on
@@ -533,7 +358,12 @@ let worker_loop t shard =
            | Some kill when kill query -> failwith "chaos: worker killed"
            | Some _ | None -> ());
           try
-            serve_query t shard ~seq ~enqueued_at:c.c_enqueued_at query
+            match Shard.parse query with
+            | Error e -> Error e
+            | Ok ast ->
+              Shard.reply
+                (Shard.estimate ~seq ~enqueued_at:c.c_enqueued_at
+                   shard.core ast)
           with exn ->
             Error
               (match Core.Error.of_exn exn with
@@ -658,8 +488,6 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
           coord_lock = Mutex.create ();
           names =
             { n_execute = Obs.Trace.intern tr "execute";
-              n_canonicalize = Obs.Trace.intern tr "canonicalize";
-              n_pipeline = Obs.Trace.intern tr "pipeline";
               n_queue_wait = Obs.Trace.intern tr "queue_wait";
               n_batch_submit = Obs.Trace.intern tr "batch_submit";
               n_batch_gather = Obs.Trace.intern tr "batch_gather";
@@ -672,33 +500,43 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
               n_gc_major_words = Obs.Trace.intern tr "gc.major_words" } })
       trace
   in
+  let shared =
+    Shard.shared ?auditor ~threshold:qerror_threshold ~deadline_s ~drift
+      estimator
+  in
+  shared.Shard.ept <- Some (Shard.materialize_ept estimator);
+  let recorder () =
+    if telemetry then
+      Some (Flight_recorder.create ~capacity:recorder_capacity ())
+    else None
+  in
   let shards =
     Array.init workers (fun id ->
         let obs = Obs.create () in
         let shard_labels = [ ("shard", string_of_int id) ] in
+        let cache = Lru_cache.create ~capacity:cache_capacity in
+        let trace =
+          Option.map
+            (fun tr ->
+              Shard.tracing tr ~tid:(id + 1)
+                ~name:(Printf.sprintf "shard-%d" id))
+            trace
+        in
         { id;
-          estimator =
-            Core.Estimator.create
-              ~card_threshold:(Core.Estimator.card_threshold estimator)
-              ~max_ept_nodes:(Core.Estimator.max_ept_nodes estimator)
-              ~recursion_aware:(Core.Estimator.recursion_aware estimator)
-              ?het:(Core.Estimator.het estimator)
-              ?values:(Core.Estimator.values estimator)
-              ~obs
-              (Core.Estimator.kernel estimator);
+          core =
+            Shard.create ~cache ?trace shared ~recorder:(recorder ())
+              ~estimator:
+                (Core.Estimator.create
+                   ~card_threshold:(Core.Estimator.card_threshold estimator)
+                   ~max_ept_nodes:(Core.Estimator.max_ept_nodes estimator)
+                   ~recursion_aware:(Core.Estimator.recursion_aware estimator)
+                   ?het:(Core.Estimator.het estimator)
+                   ?values:(Core.Estimator.values estimator)
+                   ~obs
+                   (Core.Estimator.kernel estimator));
           obs;
-          cache = Lru_cache.create ~capacity:cache_capacity;
-          recorder =
-            (if telemetry then
-               Some (Flight_recorder.create ~capacity:recorder_capacity ())
-             else None);
-          drift_shard = Option.map Drift.register_shard drift;
-          tbuf =
-            Option.map
-              (fun tr ->
-                Obs.Trace.register tr ~tid:(id + 1)
-                  ~name:(Printf.sprintf "shard-%d" id))
-              trace;
+          cache;
+          tbuf = Option.map (fun (st : Shard.tracing) -> st.buf) trace;
           hot =
             { epoch_seen = 0;
               busy_s = 0.0;
@@ -726,18 +564,16 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
   in
   let coord_obs = Obs.create () in
   let t =
-    { base = estimator;
-      threshold = qerror_threshold;
+    { shared;
+      coord = Shard.create shared ~estimator ~recorder:(recorder ());
       shards;
       queue = Work_queue.create ~steal ~shards:workers ~capacity:queue_capacity ();
       chunk_target;
       domains = [||];
       epoch = Atomic.make 0;
       inflight = Atomic.make 0;
-      deadline_s;
       shed_policy;
       shed_total = Atomic.make 0;
-      timeout_total = Atomic.make 0;
       worker_restarts = Atomic.make 0;
       chaos;
       quarantine_lock = Mutex.create ();
@@ -747,24 +583,14 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
       drain_lock = Mutex.create ();
       drain_cond = Condition.create ();
       submit_lock = Mutex.create ();
-      ept = materialize_ept estimator;
       next_seq = 0;
-      drift;
-      recorder =
-        (if telemetry then
-           Some (Flight_recorder.create ~capacity:recorder_capacity ())
-         else None);
       record_lock = Mutex.create ();
-      on_record = None;
-      feedback_seen = 0;
-      feedback_rounds = 0;
       stopped = false;
       telemetry;
       created_at = Obs.now_mono ();
       coord_obs;
       batch_chunk = Obs.histogram coord_obs "engine.pool.batch_chunk";
       tracing;
-      auditor;
       scrape = Scrape_meter.create () }
   in
   (* The EPT and shards are fully built before any domain spawns, so the
@@ -776,14 +602,17 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
 let workers t = Array.length t.shards
 let epoch t = Atomic.get t.epoch
 let shed_total t = Atomic.get t.shed_total
-let timeout_total t = Atomic.get t.timeout_total
+let timeout_total t = Atomic.get t.shared.Shard.timeouts
 let worker_restarts t = Atomic.get t.worker_restarts
-let qerror_threshold t = t.threshold
-let feedback_seen t = t.feedback_seen
-let feedback_rounds t = t.feedback_rounds
-let drift t = t.drift
+let qerror_threshold t = t.shared.Shard.threshold
+let feedback_seen t = t.shared.Shard.feedback_seen
+let feedback_rounds t = t.shared.Shard.feedback_rounds
+let drift t = t.shared.Shard.drift
 let chunk_target t = t.chunk_target
-let set_on_record t f = t.on_record <- Some f
+
+(* The sink may be called from any worker domain: serialize it. *)
+let set_on_record t f =
+  t.shared.Shard.sink <- Some (fun r -> Mutex.protect t.record_lock (fun () -> f r))
 
 let steals_total t = (Work_queue.stats t.queue).Work_queue.steals
 
@@ -804,7 +633,7 @@ let closed_error () =
 let with_coord tracing f =
   match tracing with
   | None -> ()
-  | Some tg -> with_lock tg.coord_lock (fun () -> f tg)
+  | Some tg -> Mutex.protect tg.coord_lock (fun () -> f tg)
 
 (* Submit a batch as per-shard chunks and wait for all of it; replies land
    in the preallocated submission-order result array regardless of which
@@ -832,7 +661,7 @@ let run_batch ?affinity t queries =
     in
     let flows = ref [] in  (* admitted chunk flow ids, ended at gather *)
     let t_sub0 = Obs.now_mono () in
-    with_lock t.submit_lock (fun () ->
+    Mutex.protect t.submit_lock (fun () ->
         if t.telemetry then Obs.hobserve t.batch_chunk (float_of_int n);
         let seq_base = t.next_seq in
         t.next_seq <- seq_base + n;
@@ -840,7 +669,7 @@ let run_batch ?affinity t queries =
           for slot = 0 to n - 1 do
             results.(slot) <- Some (Error (closed_error ()))
           done;
-          with_lock parent.batch_lock (fun () -> parent.remaining <- 0)
+          Mutex.protect parent.batch_lock (fun () -> parent.remaining <- 0)
         end
         else begin
           let preferred =
@@ -900,9 +729,10 @@ let run_batch ?affinity t queries =
                     | `Full ->
                       (* Bounded admission under shed-newest: the deque is
                          full, so this newest chunk is the one dropped —
-                         every slot it carries. *)
+                         every slot it carries. The records land on the
+                         coordinator's ring: we hold [submit_lock]. *)
                       Atomic.incr t.shed_total;
-                      emit_refusal t t.recorder ~seq:(seq_base + slot)
+                      Shard.refuse ~seq:(seq_base + slot) t.coord
                         ~query:queries.(slot) ~hash:0
                         ~cache:Flight_recorder.Shed;
                       overloaded_error
@@ -918,7 +748,7 @@ let run_batch ?affinity t queries =
                       ~ts ~id;
                     Obs.Trace.flow_end tg.coord ~name:tg.names.n_query ~ts
                       ~id);
-                with_lock parent.batch_lock (fun () ->
+                Mutex.protect parent.batch_lock (fun () ->
                     c.c_done <- true;
                     parent.remaining <- parent.remaining - (hi - lo)))
             plan
@@ -927,7 +757,7 @@ let run_batch ?affinity t queries =
             Obs.Trace.complete tg.coord ~name:tg.names.n_batch_submit
               ~ts:(Obs.Trace.rel tg.tr t_sub0)
               ~dur:(Obs.now_mono () -. t_sub0)));
-    with_lock parent.batch_lock (fun () ->
+    Mutex.protect parent.batch_lock (fun () ->
         while parent.remaining > 0 do
           Condition.wait parent.batch_done parent.batch_lock
         done);
@@ -1007,7 +837,7 @@ let profile ?affinity t queries =
 (* Wait until no chunk is being served or queued. Callers hold
    [submit_lock], so no new submission can race the drain. *)
 let wait_drained t =
-  with_lock t.drain_lock (fun () ->
+  Mutex.protect t.drain_lock (fun () ->
       while Atomic.get t.inflight > 0 do
         Condition.wait t.drain_cond t.drain_lock
       done)
@@ -1017,197 +847,65 @@ let next_seq_locked t =
   t.next_seq <- seq + 1;
   seq
 
-let emit_audit_record t ~seq (r : Auditor.audited) =
-  match t.recorder with
-  | None -> ()
-  | Some rec_ ->
-    let worst_step, worst_axis, contribution =
-      match r.Auditor.worst with
-      | None -> ("", "", 1.0)
-      | Some w -> (w.Auditor.step, w.Auditor.axis, w.Auditor.contribution)
-    in
-    let fr =
-      Flight_recorder.record ~seq rec_
-        ~audit:
-          { Flight_recorder.audit_actual = r.Auditor.actual;
-            audit_qerror = r.Auditor.qerror;
-            audit_worst_step = worst_step;
-            audit_worst_axis = worst_axis;
-            audit_contribution = contribution }
-        ~query:r.Auditor.query ~hash:r.Auditor.hash
-        ~cache:Flight_recorder.Audited ~estimate:r.Auditor.estimate
-        ~canonicalize_s:0.0 ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0
-        ~frontier_peak:0 ~degenerate_clamps:0 ~het_hits:0
-        ~feedback_round:t.feedback_rounds
-    in
-    (match t.on_record with
-     | None -> ()
-     | Some f -> with_lock t.record_lock (fun () -> f fr))
+(* Rebuild eagerly while drained; workers drop their caches when they
+   observe the new epoch at their next dequeue. *)
+let refresh t () =
+  t.shared.Shard.ept <- Some (Shard.materialize_ept t.shared.Shard.base);
+  Atomic.incr t.epoch
 
-(* Fold completed shadow audits into the coordinator's telemetry. Callers
-   hold [submit_lock] with the workers drained — the single-writer state the
-   feedback path already establishes — so [Drift.observe] cannot race a
-   worker's [note_shard] and the audit-feedback EPT rebuild below follows
-   the same epoch protocol as client feedback. *)
+(* Run a single-writer verb: stop submissions, drain the workers, and only
+   then touch the shared HET/EPT, the drift window or the coordinator ring.
+   [verb] names the coordinator-track slice that frames the work. *)
+let drained ?verb t f =
+  Mutex.protect t.submit_lock (fun () ->
+      if t.stopped then Error (closed_error ())
+      else begin
+        let t0 = Obs.now_mono () in
+        Fun.protect
+          ~finally:(fun () ->
+            Option.iter
+              (fun name ->
+                with_coord t.tracing (fun tg ->
+                    Obs.Trace.complete tg.coord ~name:(name tg.names)
+                      ~ts:(Obs.Trace.rel tg.tr t0)
+                      ~dur:(Obs.now_mono () -. t0)))
+              verb)
+        @@ fun () ->
+        wait_drained t;
+        f ()
+      end)
+
+(* Completed shadow audits fold into the coordinator's telemetry only in
+   the drained state, so [Drift.observe] cannot race a worker's
+   [note_shard] and audit feedback follows the client-feedback epoch
+   protocol. *)
 let drain_audits_locked t =
-  match t.auditor with
-  | None -> ()
-  | Some a ->
-    Auditor.drain a (fun r ->
-        (match t.drift with
-         | Some d ->
-           ignore
-             (Drift.observe d ~estimate:r.Auditor.estimate
-                ~actual:r.Auditor.actual
-               : float)
-         | None -> ());
-        emit_audit_record t ~seq:(next_seq_locked t) r;
-        if Auditor.feedback_enabled a then begin
-          let fb =
-            Feedback.apply
-              ?ept:(Result.to_option t.ept)
-              ~threshold:t.threshold t.base r.Auditor.ast
-              ~estimate:r.Auditor.estimate ~actual:r.Auditor.actual
-          in
-          if fb.Feedback.refined then begin
-            t.feedback_rounds <- t.feedback_rounds + 1;
-            Auditor.note_refined a;
-            t.ept <- materialize_ept t.base;
-            Atomic.incr t.epoch
-          end
-        end)
+  Shard.drain_audits
+    ~next_seq:(fun () -> next_seq_locked t)
+    ~refresh:(refresh t) t.coord
 
-(* Single-writer feedback: stop submissions, drain the workers, and only
-   then touch the shared HET/EPT. The estimate judged by the q-error is
-   recomputed inline on the drained pool (recorded as a cache Bypass on the
-   coordinator ring — it deliberately skips the shard caches), matching the
-   single engine's arithmetic exactly. *)
-(* One coordinator-track slice for a drained verb (feedback/explain). *)
-let trace_coord_verb t which t0 =
-  with_coord t.tracing (fun tg ->
-      let name =
-        if which = `Feedback then tg.names.n_feedback else tg.names.n_explain
-      in
-      Obs.Trace.complete tg.coord ~name ~ts:(Obs.Trace.rel tg.tr t0)
-        ~dur:(Obs.now_mono () -. t0))
-
+(* The judged estimate is recomputed on the coordinator shard without a
+   cache (a [Bypass] record), matching the single engine's arithmetic. *)
 let feedback t query ~actual =
-  match parse query with
+  match Shard.parse query with
   | Error e -> Error e
   | Ok ast ->
-    with_lock t.submit_lock (fun () ->
-        if t.stopped then Error (closed_error ())
-        else begin
-          let tv0 = Obs.now_mono () in
-          Fun.protect ~finally:(fun () -> trace_coord_verb t `Feedback tv0)
-          @@ fun () ->
-          wait_drained t;
-          drain_audits_locked t;
-          let t0 = Obs.now_mono () in
-          let cast = Canonical.canonicalize ast in
-          let key = Canonical.of_ast cast in
-          let canonicalize_s = Obs.now_mono () -. t0 in
-          let ept_or_err = t.ept in
-          let lazy_ept =
-            lazy
-              (match ept_or_err with
-               | Ok e -> e
-               | Error err -> raise (Core.Error.Xseed err))
-          in
-          let t1 = Obs.now_mono () in
-          match
-            Core.Estimator.estimate_result_stats_on t.base lazy_ept cast
-          with
-          | Error e -> Error e
-          | Ok (outcome, ms) ->
-            let match_s = Obs.now_mono () -. t1 in
-            t.feedback_seen <- t.feedback_seen + 1;
-            (match t.drift with
-             | Some d ->
-               Drift.note_estimate d ~cache_hit:false;
-               ignore
-                 (Drift.observe d ~estimate:outcome.Core.Estimator.value
-                    ~actual
-                   : float)
-             | None -> ());
-            let fb =
-              Feedback.apply
-                ?ept:(Result.to_option ept_or_err)
-                ~threshold:t.threshold t.base cast
-                ~estimate:outcome.Core.Estimator.value ~actual
-            in
-            if fb.Feedback.refined then begin
-              t.feedback_rounds <- t.feedback_rounds + 1;
-              (* Rebuild eagerly while drained; workers drop their caches
-                 when they observe the new epoch at their next dequeue. *)
-              t.ept <- materialize_ept t.base;
-              Atomic.incr t.epoch
-            end;
-            emit_record t t.recorder ~seq:(next_seq_locked t) ~key
-              ~status:Flight_recorder.Bypass ~outcome ~canonicalize_s
-              ~ept_s:0.0 ~match_s ~ept_nodes:ms.Core.Matcher.ept_nodes
-              ~frontier_peak:ms.Core.Matcher.frontier_peak ~het_hits:0;
-            Ok fb
-        end)
+    drained ~verb:(fun n -> n.n_feedback) t (fun () ->
+        drain_audits_locked t;
+        Result.map snd
+          (Shard.feedback ~seq:(next_seq_locked t)
+             ~enqueued_at:(Obs.now_mono ()) ~refresh:(refresh t)
+             t.coord ast ~actual))
 
-(* EXPLAIN re-runs the whole pipeline (it reports per-stage numbers), so it
-   runs drained on the base estimator like feedback does. *)
 let explain t query =
-  match parse query with
+  match Shard.parse query with
   | Error e -> Error e
   | Ok ast ->
-    with_lock t.submit_lock (fun () ->
-        if t.stopped then Error (closed_error ())
-        else begin
-          let tv0 = Obs.now_mono () in
-          Fun.protect ~finally:(fun () -> trace_coord_verb t `Explain tv0)
-          @@ fun () ->
-          wait_drained t;
-          let cast = Canonical.canonicalize ast in
-          let key = Canonical.of_ast cast in
-          let cached =
-            Array.exists
-              (fun (s : shard) -> Lru_cache.mem s.cache key.Canonical.text)
-              t.shards
-          in
-          let het_before = het_counters t in
-          match
-            Core.Error.guard (fun () ->
-                let qt = Xpath.Query_tree.of_path cast in
-                if qt.Xpath.Query_tree.size > 62 then
-                  Core.Error.raisef Core.Error.Malformed_query
-                    "query tree has %d nodes; the matcher's bitset encoding \
-                     supports 62"
-                    qt.Xpath.Query_tree.size;
-                match Core.Explain.run t.base cast with
-                | r -> r
-                | exception Core.Matcher.Ept_too_large n ->
-                  Core.Error.raisef Core.Error.Limit_exceeded
-                    "EPT exceeded max_ept_nodes while materializing (%d \
-                     nodes)"
-                    n)
-          with
-          | Error e -> Error e
-          | Ok r ->
-            let status =
-              if cached then Core.Explain.Hit else Core.Explain.Miss
-            in
-            emit_record t t.recorder ~seq:(next_seq_locked t) ~key
-              ~status:(if cached then Flight_recorder.Hit else Flight_recorder.Miss)
-              ~outcome:
-                { Core.Estimator.value = r.Core.Explain.estimate;
-                  clamped = r.Core.Explain.degenerate_clamps;
-                  unknown_labels = r.Core.Explain.unknown_labels }
-              ~canonicalize_s:0.0 ~ept_s:r.Core.Explain.ept_seconds
-              ~match_s:r.Core.Explain.match_seconds
-              ~ept_nodes:r.Core.Explain.ept_nodes
-              ~frontier_peak:r.Core.Explain.matcher.Core.Matcher.frontier_peak
-              ~het_hits:(het_hits_since t het_before);
-            Ok
-              { r with
-                Core.Explain.cache = status;
-                feedback_rounds = t.feedback_rounds }
-        end)
+    drained ~verb:(fun n -> n.n_explain) t (fun () ->
+        Shard.explain ~seq:(next_seq_locked t)
+          ~cached:(fun key ->
+            Array.exists (fun (s : shard) -> Lru_cache.mem s.cache key) t.shards)
+          t.coord ast)
 
 (* Aggregate cache counters: the per-shard sums. *)
 let cache_counters t =
@@ -1228,49 +926,19 @@ let cache_length t =
 let cache_capacity t =
   Array.fold_left (fun acc (s : shard) -> acc + Lru_cache.capacity s.cache) 0 t.shards
 
-let flight_total t =
-  Array.fold_left
-    (fun acc (s : shard) ->
-      acc + match s.recorder with None -> 0 | Some r -> Flight_recorder.total r)
-    (match t.recorder with None -> 0 | Some r -> Flight_recorder.total r)
-    t.shards
+(* Every ring: the coordinator's first, then the shards' in order. *)
+let recorders t =
+  List.filter_map
+    (fun (s : Shard.t) -> s.recorder)
+    (t.coord :: Array.to_list (Array.map (fun (s : shard) -> s.core) t.shards))
 
 let stats_json t =
   let open Obs.Json in
-  let c = cache_counters t in
-  let het_json =
-    match Core.Estimator.het t.base with
-    | None -> Null
-    | Some h ->
-      let u = Core.Het.counters h in
-      Obj
-        [ ("active", Int (Core.Het.active_count h));
-          ("total", Int (Core.Het.total_count h));
-          ("bytes", Int (Core.Het.size_in_bytes h));
-          ("simple_lookups", Int u.Core.Het.simple_lookups);
-          ("simple_hits", Int u.Core.Het.simple_hits);
-          ("branching_lookups", Int u.Core.Het.branching_lookups);
-          ("branching_hits", Int u.Core.Het.branching_hits);
-          ("feedback_inserts", Int u.Core.Het.feedback_inserts);
-          ("collisions", Int u.Core.Het.collisions) ]
-  in
   Obj
-    [ ( "cache",
-        Obj
-          [ ("capacity", Int (cache_capacity t));
-            ("size", Int (cache_length t));
-            ("hits", Int c.Lru_cache.hits);
-            ("misses", Int c.Lru_cache.misses);
-            ("insertions", Int c.Lru_cache.insertions);
-            ("evictions", Int c.Lru_cache.evictions);
-            ("invalidations", Int c.Lru_cache.invalidations) ] );
-      ( "feedback",
-        Obj
-          [ ("seen", Int t.feedback_seen);
-            ("rounds", Int t.feedback_rounds);
-            ("qerror_threshold", Float t.threshold) ] );
-      ("het", het_json);
-      ("synopsis_bytes", Int (Core.Estimator.size_in_bytes t.base));
+    (Shard.stats_fields t.shared ~capacity:(cache_capacity t)
+       ~size:(cache_length t) (cache_counters t)
+    @ [ ( "synopsis_bytes",
+          Int (Core.Estimator.size_in_bytes t.shared.Shard.base) );
       ( "pool",
         let q = Work_queue.stats t.queue in
         Obj
@@ -1290,46 +958,27 @@ let stats_json t =
             ("shed_total", Int (shed_total t));
             ("timeout_total", Int (timeout_total t));
             ("worker_restarts", Int (worker_restarts t));
-            ("quarantined", Int (quarantined_count t)) ] ) ]
+            ("quarantined", Int (quarantined_count t)) ] ) ])
 
 (* One scrape: pool-level totals published into a scratch registry, merged
    with every shard's pipeline registry. The merge orders series by key, so
    the exposition is deterministic no matter how work was scheduled; it is
    rebuilt per scrape, so repeated scrapes without traffic are identical. *)
-let merged_metrics t =
+let metrics_text t =
+  let t0 = Obs.now_mono () in
   let obs = Obs.create () in
   let c = cache_counters t in
-  Obs.add_to ~obs "engine.cache.hits" c.Lru_cache.hits;
-  Obs.add_to ~obs "engine.cache.misses" c.Lru_cache.misses;
-  Obs.add_to ~obs "engine.cache.insertions" c.Lru_cache.insertions;
-  Obs.add_to ~obs "engine.cache.evictions" c.Lru_cache.evictions;
-  Obs.add_to ~obs "engine.cache.invalidations" c.Lru_cache.invalidations;
-  Obs.set_to ~obs "engine.cache.size" (float_of_int (cache_length t));
-  Obs.set_to ~obs "engine.cache.capacity" (float_of_int (cache_capacity t));
-  Obs.max_to ~obs "engine.feedback.seen" t.feedback_seen;
-  Obs.max_to ~obs "engine.feedback.rounds" t.feedback_rounds;
-  Obs.set_to ~obs "engine.synopsis_bytes"
-    (float_of_int (Core.Estimator.size_in_bytes t.base));
-  (match Core.Estimator.het t.base with
-   | None -> ()
-   | Some h ->
-     let u = Core.Het.counters h in
-     Obs.set_to ~obs "engine.het.active" (float_of_int (Core.Het.active_count h));
-     Obs.set_to ~obs "engine.het.total" (float_of_int (Core.Het.total_count h));
-     Obs.set_to ~obs "engine.het.bytes" (float_of_int (Core.Het.size_in_bytes h));
-     Obs.max_to ~obs "het.simple_lookups" u.Core.Het.simple_lookups;
-     Obs.max_to ~obs "het.simple_hits" u.Core.Het.simple_hits;
-     Obs.max_to ~obs "het.branching_lookups" u.Core.Het.branching_lookups;
-     Obs.max_to ~obs "het.branching_hits" u.Core.Het.branching_hits;
-     Obs.max_to ~obs "het.feedback_inserts" u.Core.Het.feedback_inserts;
-     Obs.max_to ~obs "het.collisions" u.Core.Het.collisions);
-  Obs.max_to ~obs "engine.flight.records" (flight_total t);
-  (match t.auditor with None -> () | Some a -> Auditor.publish a obs);
+  Shard.publish t.shared obs ~capacity:(cache_capacity t) ~size:(cache_length t)
+    ~flight_records:
+      (Some
+         (List.fold_left
+            (fun acc r -> acc + Flight_recorder.total r)
+            0 (recorders t)))
+    c;
   Scrape_meter.publish t.scrape ~obs
     ~served:
-      (c.Lru_cache.hits + c.Lru_cache.misses + t.feedback_seen
+      (c.Lru_cache.hits + c.Lru_cache.misses + feedback_seen t
       + timeout_total t + shed_total t);
-  (match t.drift with None -> () | Some d -> Drift.publish d obs);
   Obs.set_to ~obs "engine.pool.workers" (float_of_int (workers t));
   Obs.set_to ~obs "engine.pool.epoch" (float_of_int (epoch t));
   Obs.set_to ~obs "engine.pool.queue_depth"
@@ -1366,45 +1015,25 @@ let merged_metrics t =
            [ ("shard", string_of_int s.id) ])
         fraction)
     t.shards;
-  Obs.merged
-    (obs :: t.coord_obs
-    :: Array.to_list (Array.map (fun (s : shard) -> s.obs) t.shards))
-
-let metrics_text t =
-  let t0 = Obs.now_mono () in
-  let text = Obs.prometheus ~prefix:"xseed_" (merged_metrics t) in
+  let text =
+    Obs.prometheus ~prefix:"xseed_"
+      (Obs.merged
+         (obs :: t.coord_obs
+         :: Array.to_list (Array.map (fun (s : shard) -> s.obs) t.shards)))
+  in
   Scrape_meter.note t.scrape (Obs.now_mono () -. t0);
   text
 
 (* Flight records from every shard ring plus the coordinator ring, merged
    newest-submission-first on the global sequence number. *)
 let recent ?n t =
-  let all =
-    Array.fold_left
-      (fun acc (s : shard) ->
-        match s.recorder with
-        | None -> acc
-        | Some r -> List.rev_append (Flight_recorder.recent r) acc)
-      (match t.recorder with
-       | None -> []
-       | Some r -> Flight_recorder.recent r)
-      t.shards
-  in
   let sorted =
-    List.sort
-      (fun (a : Flight_recorder.record) (b : Flight_recorder.record) ->
-        compare b.Flight_recorder.seq a.Flight_recorder.seq)
-      all
+    List.concat_map Flight_recorder.recent (recorders t)
+    |> List.sort (fun (a : Flight_recorder.record) b -> compare b.seq a.seq)
   in
   match n with
   | None -> sorted
-  | Some n ->
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | x :: rest -> x :: take (k - 1) rest
-    in
-    take (max 0 n) sorted
+  | Some n -> List.filteri (fun i _ -> i < n) sorted
 
 let telemetry_disabled () =
   Core.Error.make Core.Error.Internal "telemetry is disabled on this pool"
@@ -1418,49 +1047,38 @@ let server ?affinity t =
     metrics_text = (fun () -> metrics_text t);
     recent =
       (fun n ->
-        if
-          Option.is_none t.recorder
-          && Array.for_all (fun (s : shard) -> Option.is_none s.recorder) t.shards
-        then Error (telemetry_disabled ())
+        if recorders t = [] then Error (telemetry_disabled ())
         else Ok (recent ?n t));
     drift_json =
       (fun () ->
-        match t.drift with
+        match drift t with
         | None -> Error (telemetry_disabled ())
         | Some d -> Ok (Drift.to_json d));
     profile = (fun qs -> profile ?affinity t qs);
     audit =
       (fun () ->
-        match t.auditor with
-        | None ->
-          Error
-            (Core.Error.make Core.Error.Internal
-               "auditing is disabled (serve with --audit-rate and a source \
-                document)")
+        match t.shared.Shard.auditor with
+        | None -> Error (Shard.audit_disabled ())
         | Some a ->
           (* Settle outside the submission lock so clients keep being
              served while the audit domain catches up; then fold the
              results in under the drained single-writer state. *)
           ignore (Auditor.settle ~timeout_s:5.0 a : bool);
-          with_lock t.submit_lock (fun () ->
-              if t.stopped then Error (closed_error ())
-              else begin
-                wait_drained t;
-                drain_audits_locked t;
-                Ok (Auditor.status_json a)
-              end)) }
+          drained t (fun () ->
+              drain_audits_locked t;
+              Ok (Auditor.status_json a))) }
 
 (* Drop every shard cache by bumping the epoch (applied at each shard's
    next dequeue), without touching the synopsis. Used by benchmarks to
    force cold-cache passes. *)
 let invalidate t =
-  with_lock t.submit_lock (fun () ->
+  Mutex.protect t.submit_lock (fun () ->
       wait_drained t;
       Atomic.incr t.epoch)
 
 let shutdown t =
   let join =
-    with_lock t.submit_lock (fun () ->
+    Mutex.protect t.submit_lock (fun () ->
         if t.stopped then false
         else begin
           t.stopped <- true;

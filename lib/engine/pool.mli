@@ -1,10 +1,13 @@
 (** Multi-domain serving pool: one shared synopsis, N worker shards.
 
-    The pool owns one immutable synopsis (kernel + HET + value synopsis)
-    and one materialized EPT, shared read-only by [workers] domains. Each
-    worker has a private shard — its own {!Lru_cache}, {!Flight_recorder}
-    ring, {!Obs} registry and {!Drift} volume shard — so the estimate hot
-    path takes no lock beyond the sharded {!Work_queue}'s own mutex.
+    The pool is the multi-domain front end of the {!Shard} pipeline, the same
+    code {!Engine_core} runs inline. It owns one synopsis (kernel + HET +
+    value synopsis) and one eagerly materialized EPT, shared read-only by
+    [workers] domains. Each worker runs a private shard — its own
+    {!Lru_cache}, {!Flight_recorder} ring, {!Obs} registry and {!Drift}
+    volume rings — so the estimate hot path takes no lock beyond the
+    sharded {!Work_queue}'s own mutex. A coordinator shard (base
+    estimator, no cache, its own ring) runs the drained verbs.
 
     {b Chunk dispatch} (DESIGN.md §16). A batch of [n] queries is cut by
     {!plan_chunks} into contiguous per-shard slices, one queue operation
@@ -25,9 +28,9 @@
 
     {b Determinism.} Over the same synopsis, pool estimates are
     bit-identical to a single {!Engine_core.t}'s — with chunking, stealing
-    and affinity in any combination: the matcher keeps all per-query
-    scratch off the shared EPT, and every shard estimator is built from
-    the same kernel/HET/values. Merged metrics ({!metrics_text}) are
+    and affinity in any combination: both run the same shard pipeline, the
+    matcher keeps all per-query scratch off the shared EPT, and every
+    shard estimator is built from the same kernel/HET/values. Merged metrics ({!metrics_text}) are
     rendered from a per-scrape registry with series sorted by key, so the
     exposition does not depend on scheduling. *)
 
@@ -186,9 +189,12 @@ val estimate_batch :
     answer the overflowing chunk's slots [ERR overloaded] immediately. *)
 
 val feedback : t -> string -> actual:int -> (Feedback.outcome, Core.Error.t) result
-(** Drain the pool, judge the query's estimate against [actual], and
-    refine the HET when the q-error exceeds the threshold. Refinements
-    rebuild the shared EPT and bump {!epoch} before submissions resume. *)
+(** Drain the pool, then run {!Shard.feedback} on the coordinator shard:
+    the judged estimate is recomputed without a cache (a [Bypass] flight
+    record, refused like any miss once [deadline_s] has run out since the
+    drained coordinator took it up), and the HET is refined when the q-error reaches the
+    threshold. Refinements rebuild the shared EPT and bump {!epoch} before
+    submissions resume. *)
 
 val explain : t -> string -> (Core.Explain.report, Core.Error.t) result
 (** Full-pipeline explain, run drained on the base estimator. The cache
@@ -219,14 +225,11 @@ val stats_json : t -> Obs.Json.t
     [shed_total] / [timeout_total] / [worker_restarts] / [quarantined]). *)
 
 val metrics_text : t -> string
-(** Prometheus exposition of {!merged_metrics}. *)
-
-val merged_metrics : t -> Obs.t
-(** A fresh registry per call: pool-level totals merged with every
-    shard's pipeline registry via {!Obs.merged} (series sorted by key;
-    repeated calls without traffic are identical). Includes, when
-    telemetry is on: the pool-wide [engine.pool.queue_wait_us] histogram
-    (per-chunk dequeue waits; shard observations merge by key),
+(** Prometheus exposition of a fresh registry per call: pool-level totals
+    merged with every shard's pipeline registry via {!Obs.merged} (series
+    sorted by key; repeated calls without traffic are identical). Includes,
+    when telemetry is on: the pool-wide [engine.pool.queue_wait_us]
+    histogram (per-chunk dequeue waits; shard observations merge by key),
     [engine.pool.batch_chunk], [engine.pool.queue.*] contention counters
     from {!Work_queue.stats}, [engine.pool.steals_total] and
     [engine.pool.affinity_hits], per-shard [engine.gc.*] counters

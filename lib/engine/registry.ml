@@ -6,10 +6,6 @@
    while [Pool] remains the many-cores axis for one hot synopsis; the two
    compose at the process level, not inside one registry. *)
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* A resident tenant: its engine plus everything eviction must release. *)
 type resident = {
   engine : Engine_core.t;
@@ -124,24 +120,10 @@ let register_locked ?doc t ~name ~path =
   end
 
 let register ?doc t ~name ~path =
-  with_lock t.mutex (fun () -> register_locked ?doc t ~name ~path)
-
-let read_file path =
-  if not (Sys.file_exists path) then
-    Error (Core.Error.make Core.Error.Missing_file ("no such file: " ^ path))
-  else
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | contents -> Ok contents
-    | exception Sys_error msg ->
-      Error (Core.Error.make Core.Error.Io_error msg)
+  Mutex.protect t.mutex (fun () -> register_locked ?doc t ~name ~path)
 
 let load_manifest t manifest_path =
-  match read_file manifest_path with
+  match Core.Error.read_file manifest_path with
   | Error e -> Error e
   | Ok contents ->
     let dir = Filename.dirname manifest_path in
@@ -187,7 +169,7 @@ let load_manifest t manifest_path =
                 (p, if d = "" then None else Some d)
             in
             (match
-               with_lock t.mutex (fun () ->
+               Mutex.protect t.mutex (fun () ->
                    register_locked
                      ?doc:(Option.map resolve doc)
                      t ~name ~path:(resolve path))
@@ -265,7 +247,7 @@ let tenant_server_of tenant ~journal base =
         | Error e -> Error e) }
 
 let page_in_locked t tenant =
-  match read_file tenant.path with
+  match Core.Error.read_file tenant.path with
   | Error e -> Error e
   | Ok contents ->
     (match Core.Synopsis.of_string_result contents with
@@ -369,41 +351,41 @@ let ensure_resident_locked t tenant =
      | Error e -> Error e)
 
 let use t name =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match find_locked t name with
       | Error e -> Error e
       | Ok tenant -> ensure_resident_locked t tenant)
 
 let evict t name =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table name with
       | None -> false
       | Some tenant -> evict_locked t tenant)
 
 let tenants t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.fold
         (fun name tenant acc ->
           (name, Option.map (fun r -> r.syn_bytes) tenant.state) :: acc)
         t.table [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let registered_count t = with_lock t.mutex (fun () -> Hashtbl.length t.table)
+let registered_count t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
 
 let resident_count t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.fold
         (fun _ tenant n -> if tenant.state = None then n else n + 1)
         t.table 0)
 
-let resident_bytes t = with_lock t.mutex (fun () -> t.resident_bytes)
+let resident_bytes t = Mutex.protect t.mutex (fun () -> t.resident_bytes)
 let memory_budget t = t.memory_budget
-let evictions t = with_lock t.mutex (fun () -> t.evictions)
-let page_ins t = with_lock t.mutex (fun () -> t.page_ins_total)
-let journal_replayed t = with_lock t.mutex (fun () -> t.journal_replayed)
+let evictions t = Mutex.protect t.mutex (fun () -> t.evictions)
+let page_ins t = Mutex.protect t.mutex (fun () -> t.page_ins_total)
+let journal_replayed t = Mutex.protect t.mutex (fun () -> t.journal_replayed)
 
 let engine t name =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.table name with
       | Some { state = Some r; _ } -> Some r.engine
       | _ -> None)
@@ -429,7 +411,7 @@ let publish_locked t =
   Obs.set_max (Obs.counter t.obs "registry.journal.replayed") t.journal_replayed
 
 let metrics_text t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let t0 = Obs.now_mono () in
       (* The registry tick advances on every serving touch and never on a
          scrape, so it is the meter's served-traffic anchor. *)
@@ -479,10 +461,10 @@ let stats_locked t =
       ("journal_replayed", Obs.Json.Int t.journal_replayed);
       ("tenants", Obs.Json.Obj tenants) ]
 
-let stats_json t = with_lock t.mutex (fun () -> stats_locked t)
+let stats_json t = Mutex.protect t.mutex (fun () -> stats_locked t)
 
 let close t =
-  with_lock t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.iter
         (fun _ tenant -> ignore (evict_locked t tenant : bool))
         t.table)
@@ -502,7 +484,7 @@ let with_active s f =
   match s.current with
   | None -> Error (no_tenant ())
   | Some name ->
-    with_lock s.registry.mutex (fun () ->
+    Mutex.protect s.registry.mutex (fun () ->
         match find_locked s.registry name with
         | Error e -> Error e
         | Ok tenant ->
@@ -534,7 +516,7 @@ let server s =
       (fun () ->
         (* Tenant-less STATS still answers: the registry object alone. *)
         let registry_stats =
-          with_lock s.registry.mutex (fun () -> stats_locked s.registry)
+          Mutex.protect s.registry.mutex (fun () -> stats_locked s.registry)
         in
         match with_active s (fun srv -> srv.Serve.stats_json ()) with
         | Ok tenant_stats ->
@@ -592,7 +574,7 @@ let extra s verb rest =
              | Error e -> err e
              | Ok _ ->
                let bytes =
-                 with_lock s.registry.mutex (fun () ->
+                 Mutex.protect s.registry.mutex (fun () ->
                      match Hashtbl.find_opt s.registry.table name with
                      | Some { state = Some r; _ } -> r.syn_bytes
                      | _ -> 0)

@@ -312,16 +312,6 @@ type t = {
    serializes registry *shape* changes against iteration, so one domain can
    keep registering new series while another renders a scrape without either
    tripping over a resizing Hashtbl. *)
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 let create ?(sink = Noop) () =
   { sink;
     registry = Hashtbl.create 32;
@@ -355,7 +345,7 @@ let wrong_kind what key m =
 
 let counter_with t name labels =
   let key = series_key name labels in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.registry key with
       | Some (Counter c) -> c
       | Some m -> wrong_kind "counter" key m
@@ -373,7 +363,7 @@ let value c = c.n
 
 let gauge_with t name labels =
   let key = series_key name labels in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.registry key with
       | Some (Gauge g) -> g
       | Some m -> wrong_kind "gauge" key m
@@ -389,7 +379,7 @@ let gvalue g = g.g
 
 let histogram_with t name labels =
   let key = series_key name labels in
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.registry key with
       | Some (Histogram h) -> h
       | Some m -> wrong_kind "histogram" key m
@@ -637,7 +627,7 @@ let histogram_json h =
 
 let snapshot t =
   let fields =
-    with_lock t (fun () ->
+    Mutex.protect t.lock (fun () ->
         List.rev_map
           (fun key ->
             match Hashtbl.find t.registry key with
@@ -687,7 +677,7 @@ let escape_help s =
   Buffer.contents b
 
 let prometheus ?(prefix = "") t =
-  with_lock t @@ fun () ->
+  Mutex.protect t.lock @@ fun () ->
   let buf = Buffer.create 1024 in
   (* Group series into families (by exported name) so each family gets
      exactly one HELP/TYPE pair with all its samples beneath — grouping by
@@ -766,7 +756,7 @@ let prometheus ?(prefix = "") t =
   Buffer.contents buf
 
 let reset t =
-  with_lock t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.iter
         (fun _ metric ->
           match metric with
@@ -795,7 +785,7 @@ let merged_labeled lts =
            set, so the rendered order is canonical either way); the serving
            registry uses this to stamp tenant="…" on a whole registry. *)
         let widen labels = labels @ extra in
-        with_lock t (fun () ->
+        Mutex.protect t.lock (fun () ->
             List.rev_map
               (fun key ->
                 match Hashtbl.find t.registry key with

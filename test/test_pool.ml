@@ -1260,6 +1260,57 @@ let test_pool_supervision_mid_chunk () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-crash estimate: %s" (Core.Error.to_string e)
 
+(* One pipeline, two front ends: a 1-worker pool and an engine over the same
+   synopsis, fed the same sequential stream (a miss, a hit, a second
+   spelling, a malformed query, an EXPLAIN), leave the same RECENT
+   records. The malformed query leaves none on either side, and both
+   EXPLAIN records carry the measured canonicalize time. *)
+let test_pool_engine_recent_parity () =
+  let pool = Engine.Pool.create ~workers:1 (paper_estimator ()) in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let engine = Engine.create (paper_estimator ()) in
+  let stream = [ "//s[t][p]"; "//s[t][p]"; "//s[p][t]"; "//s[" ] in
+  List.iter
+    (fun q ->
+      let e = Engine.estimate engine q and p = Engine.Pool.estimate pool q in
+      checkb (q ^ " agrees on success") (Result.is_ok e) (Result.is_ok p))
+    stream;
+  (match (Engine.explain engine "//s[p][t]", Engine.Pool.explain pool "//s[p][t]")
+   with
+   | Ok _, Ok _ -> ()
+   | _ -> Alcotest.fail "explain failed");
+  let engine_recent =
+    match Engine.recorder engine with
+    | Some r -> Engine.Flight_recorder.recent r
+    | None -> Alcotest.fail "engine recorder missing"
+  in
+  let pool_recent = Engine.Pool.recent pool in
+  checki "four records each (malformed leaves none)" 4
+    (List.length engine_recent);
+  checki "pool records" 4 (List.length pool_recent);
+  List.iteri
+    (fun i ((e : Engine.Flight_recorder.record), (p : Engine.Flight_recorder.record)) ->
+      let field name = Printf.sprintf "record %d %s" i name in
+      checks (field "query") e.query p.query;
+      checki (field "hash") e.hash p.hash;
+      checks (field "cache")
+        (Engine.Flight_recorder.cache_status_name e.cache)
+        (Engine.Flight_recorder.cache_status_name p.cache);
+      Alcotest.(check int64) (field "estimate") (bits e.estimate)
+        (bits p.estimate);
+      checki (field "ept_nodes") e.ept_nodes p.ept_nodes;
+      checki (field "frontier_peak") e.frontier_peak p.frontier_peak;
+      checki (field "het_hits") e.het_hits p.het_hits;
+      checki (field "degenerate_clamps") e.degenerate_clamps
+        p.degenerate_clamps)
+    (List.combine engine_recent pool_recent);
+  List.iter
+    (fun (side, (r : Engine.Flight_recorder.record)) ->
+      checkb (side ^ " explain record measures canonicalize") true
+        (r.canonicalize_s > 0.0);
+      checkb (side ^ " explain record counts HET hits") true (r.het_hits > 0))
+    [ ("engine", List.hd engine_recent); ("pool", List.hd pool_recent) ]
+
 let () =
   Alcotest.run "pool"
     [ ( "work-queue",
@@ -1301,7 +1352,9 @@ let () =
           Alcotest.test_case "supervision mid-chunk" `Quick
             test_pool_supervision_mid_chunk;
           Alcotest.test_case "telemetry metrics" `Quick
-            test_pool_telemetry_metrics ] );
+            test_pool_telemetry_metrics;
+          Alcotest.test_case "engine parity of RECENT" `Quick
+            test_pool_engine_recent_parity ] );
       ( "stealing",
         [ Alcotest.test_case "deterministic steal of lone chunks" `Quick
             test_pool_work_stealing;
