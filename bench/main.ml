@@ -726,11 +726,11 @@ let profile_section () =
     Engine.invalidate engine;
     List.iter
       (fun q ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_mono () in
         (match Engine.estimate_ast engine q with
          | Ok _ -> ()
          | Error e -> raise (Core.Error.Xseed e));
-        sink := (Unix.gettimeofday () -. t0) :: !sink)
+        sink := (Obs.now_mono () -. t0) :: !sink)
       asts
   in
   run_pass traced (ref []);
@@ -977,7 +977,9 @@ let feedback () =
    two engines so clock drift and GC pressure hit both sides equally, and
    the cache is invalidated between passes so every timed estimate is a
    real pipeline run (the shared EPT is rebuilt by the first query of a
-   pass, which the median ignores). *)
+   pass, which the median ignores). Estimates take ~20 us, so the timer is
+   the monotonic clock: gettimeofday's 1 us steps alone would swing the
+   median by 5%. *)
 
 let telemetry () =
   header "Telemetry overhead: estimate latency, recorder+drift vs. off";
@@ -996,11 +998,11 @@ let telemetry () =
     Engine.invalidate engine;
     List.iter
       (fun q ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_mono () in
         (match Engine.estimate_ast engine q with
          | Ok _ -> ()
          | Error e -> raise (Core.Error.Xseed e));
-        sink := (Unix.gettimeofday () -. t0) :: !sink)
+        sink := (Obs.now_mono () -. t0) :: !sink)
       queries
   in
   (* Warm both (first EPT build, allocator) outside the measurement. *)
@@ -1076,11 +1078,11 @@ let audit_bench () =
     Engine.invalidate engine;
     List.iter
       (fun q ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_mono () in
         (match Engine.estimate_ast engine q with
          | Ok _ -> ()
          | Error e -> raise (Core.Error.Xseed e));
-        sink := (Unix.gettimeofday () -. t0) :: !sink)
+        sink := (Obs.now_mono () -. t0) :: !sink)
       queries
   in
   run_pass audited_engine (ref []);

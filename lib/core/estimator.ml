@@ -40,13 +40,23 @@ let clamp_estimate ?obs x =
   if clamped > 0 then Obs.add_to ?obs "estimator.degenerate_clamps" 1;
   (value, clamped)
 
-let raw_estimate_on t ept path =
-  Matcher.estimate ?het:t.het ?values:t.values ?obs:t.obs
-    ~table:(Kernel.table t.kernel) ept
-    (Xpath.Query_tree.of_path path)
+(* The one query-shape check behind every estimate entry point. The
+   matcher has no size limit of its own; the cap is the NoK evaluator's
+   step bitsets, which the shadow auditor runs on the same query. *)
+let query_tree path =
+  if path = [] then Error.raisef Error.Malformed_query "empty query";
+  let qt = Xpath.Query_tree.of_path path in
+  if qt.Xpath.Query_tree.size > Nok.Eval.max_query_size then
+    Error.raisef Error.Malformed_query
+      "query tree has %d nodes; NoK's step bitsets support %d"
+      qt.Xpath.Query_tree.size Nok.Eval.max_query_size;
+  qt
 
 let estimate_on t ept path =
-  fst (clamp_estimate ?obs:t.obs (raw_estimate_on t ept path))
+  fst
+    (clamp_estimate ?obs:t.obs
+       (Matcher.estimate ?het:t.het ?values:t.values ?obs:t.obs
+          ~table:(Kernel.table t.kernel) ept (query_tree path)))
 
 let estimate t path = estimate_on t (ept t) path
 
@@ -77,34 +87,11 @@ let unknown_labels t path =
 
 type outcome = { value : float; clamped : int; unknown_labels : string list }
 
-let outcome_on t ept path =
-  let value, clamped = clamp_estimate ?obs:t.obs (raw_estimate_on t ept path) in
-  { value; clamped; unknown_labels = unknown_labels t path }
-
-let estimate_result_on t ept path =
+let estimate_result_stats_on ?scratch t ept path =
   Error.guard (fun () ->
-      if path = [] then Error.raisef Error.Malformed_query "empty query";
-      let qt = Xpath.Query_tree.of_path path in
-      if qt.Xpath.Query_tree.size > 62 then
-        Error.raisef Error.Malformed_query
-          "query tree has %d nodes; the matcher's bitset encoding supports 62"
-          qt.Xpath.Query_tree.size;
-      match outcome_on t (Lazy.force ept) path with
-      | o -> o
-      | exception Matcher.Ept_too_large n ->
-        Error.raisef Error.Limit_exceeded
-          "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
-
-let estimate_result_stats_on t ept path =
-  Error.guard (fun () ->
-      if path = [] then Error.raisef Error.Malformed_query "empty query";
-      let qt = Xpath.Query_tree.of_path path in
-      if qt.Xpath.Query_tree.size > 62 then
-        Error.raisef Error.Malformed_query
-          "query tree has %d nodes; the matcher's bitset encoding supports 62"
-          qt.Xpath.Query_tree.size;
+      let qt = query_tree path in
       match
-        Matcher.estimate_with_stats ?het:t.het ?values:t.values
+        Matcher.estimate_with_stats ?scratch ?het:t.het ?values:t.values
           ~table:(Kernel.table t.kernel) (Lazy.force ept) qt
       with
       | raw, ms ->
@@ -114,6 +101,9 @@ let estimate_result_stats_on t ept path =
       | exception Matcher.Ept_too_large n ->
         Error.raisef Error.Limit_exceeded
           "EPT exceeded max_ept_nodes while materializing (%d nodes)" n)
+
+let estimate_result_on ?scratch t ept path =
+  Result.map fst (estimate_result_stats_on ?scratch t ept path)
 
 let estimate_result t path = estimate_result_on t (lazy (ept t)) path
 

@@ -55,21 +55,29 @@ type outcome = {
 
 val estimate_result : t -> Xpath.Ast.t -> (outcome, Error.t) result
 (** Total-function estimation: an empty query or one whose query tree
-    exceeds the matcher's 62-node bitset limit is [Malformed_query]; an EPT
-    blow-up past [max_ept_nodes] is [Limit_exceeded]. Never raises on any
-    parseable query, and [outcome.value] is never NaN. *)
+    exceeds the 62 nodes of NoK's step bitsets is [Malformed_query] (see
+    {!query_tree}); an EPT blow-up past [max_ept_nodes] is
+    [Limit_exceeded]. Never raises on any parseable query, and
+    [outcome.value] is never NaN. *)
 
 val estimate_string_result : t -> string -> (outcome, Error.t) result
 (** {!estimate_result} after parsing; a syntax error is [Malformed_query]
     with the byte position. *)
 
-val estimate_result_on : t -> Matcher.ept Lazy.t -> Xpath.Ast.t -> (outcome, Error.t) result
+val estimate_result_on :
+  ?scratch:Matcher.scratch ->
+  t ->
+  Matcher.ept Lazy.t ->
+  Xpath.Ast.t ->
+  (outcome, Error.t) result
 (** {!estimate_result} against a caller-held EPT, for serving layers that
     amortize materialization across queries. The EPT is forced inside the
     error guard, so a deferred blow-up still comes back as
-    [Limit_exceeded]. *)
+    [Limit_exceeded]. [scratch] is the caller's own matcher scratch (see
+    {!Matcher.scratch}); without one the call allocates a fresh one. *)
 
 val estimate_result_stats_on :
+  ?scratch:Matcher.scratch ->
   t ->
   Matcher.ept Lazy.t ->
   Xpath.Ast.t ->
@@ -85,6 +93,14 @@ val clamp_estimate : ?obs:Obs.t -> float -> float * int
     [estimator.degenerate_clamps] when it fires. Exposed for callers that
     run {!Matcher.estimate} directly. *)
 
+val query_tree : Xpath.Ast.t -> Xpath.Query_tree.t
+(** The one query-shape check every estimate entry point applies: the
+    query tree of a non-empty query with at most
+    [Nok.Eval.max_query_size] (62) nodes, the width of the NoK
+    evaluator's step bitsets that the shadow auditor runs on the same
+    query. The matcher itself has no size limit.
+    @raise Error.Xseed [Malformed_query] otherwise. *)
+
 val unknown_labels : t -> Xpath.Ast.t -> string list
 (** The [outcome.unknown_labels] computation alone (including name tests
     inside predicates). *)
@@ -93,6 +109,8 @@ val ept : t -> Matcher.ept
 (** Materialize the EPT once. *)
 
 val estimate_on : t -> Matcher.ept -> Xpath.Ast.t -> float
+(** {!estimate} against a caller-held EPT. @raise Error.Xseed on a query
+    {!query_tree} refuses. *)
 
 val record_feedback : ?ept:Matcher.ept -> t -> Xpath.Ast.t -> actual:int -> bool
 (** Feed the actual cardinality of an executed query back into the HET

@@ -71,6 +71,7 @@ let assumptions_of ~(path : Xpath.Ast.t) ~(ms : Matcher.match_stats)
 
 let run ?obs estimator path =
   Obs.span ?obs "explain" (fun () ->
+      let qt = Estimator.query_tree path in
       let kernel = Estimator.kernel estimator in
       let het = Estimator.het estimator in
       let values = Estimator.values estimator in
@@ -89,7 +90,7 @@ let run ?obs estimator path =
       let t1 = Obs.now_mono () in
       let estimate, ms =
         Matcher.estimate_with_stats ?het ?values ~table:(Kernel.table kernel) ept
-          (Xpath.Query_tree.of_path path)
+          qt
       in
       let t2 = Obs.now_mono () in
       let estimate, degenerate_clamps = Estimator.clamp_estimate ?obs estimate in

@@ -191,11 +191,18 @@ let lookup_simple t ?path hash =
        Some (e.card, e.sbsel)
      | None -> None)
 
-let lookup_branching t ?path hash =
+(* The matcher probes this at every matching spine node, and almost every
+   probe misses: the pattern's key text is only built once its hash has a
+   bucket to resolve. *)
+let lookup_branching t ~parent ~predicates ~next =
   t.n_branching_lookups <- t.n_branching_lookups + 1;
-  match Hashtbl.find_opt t.branching_active hash with
+  match
+    Hashtbl.find_opt t.branching_active
+      (Path_hash.branching ~parent ~predicates ~next)
+  with
   | None -> None
   | Some bucket ->
+    let path = Some (Path_hash.branching_key ~parent ~predicates ~next) in
     (match bucket_find t bucket path ~path_of:bpath with
      | Some e ->
        t.n_branching_hits <- t.n_branching_hits + 1;

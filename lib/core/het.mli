@@ -47,7 +47,13 @@ val lookup_simple : t -> ?path:string -> int -> (int * float option) option
     [path], only the entry recorded under that canonical path (or a legacy
     path-less entry) answers; a hash collision is counted and misses. *)
 
-val lookup_branching : t -> ?path:string -> int -> float option
+val lookup_branching :
+  t -> parent:int -> predicates:int list -> next:int -> float option
+(** The active correlated bsel of the pattern [parent\[predicates\]/next],
+    found by its {!Path_hash.branching} hash and resolved by its
+    {!Path_hash.branching_key}, which is built only when the hash has a
+    bucket. Like a simple lookup with a path, a colliding entry never
+    answers (a legacy path-less one does). *)
 
 val record_feedback :
   t -> hash:int -> ?path:string -> card:int -> ?bsel:float -> error:float -> unit -> unit

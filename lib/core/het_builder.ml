@@ -93,8 +93,9 @@ let build ?(mbp = 1) ?(bsel_threshold = 0.1) ?(card_threshold = 0.5)
      let ept =
        Matcher.materialize (Traveler.create ~card_threshold kernel)
      in
+     let scratch = Matcher.scratch () in
      let estimate path =
-       Matcher.estimate ~table ept (Xpath.Query_tree.of_path path)
+       Matcher.estimate ~scratch ~table ept (Xpath.Query_tree.of_path path)
      in
      let actual path =
        incr nok_evals;

@@ -26,10 +26,11 @@
 exception Ept_too_large of int
 
 type ept
-(** Immutable once materialized: per-estimate accumulators live in scratch
-    arrays owned by each {!estimate} call, not on the tree, so one EPT may
-    be shared across domains and serve concurrent estimates without
-    synchronization (the serving pool relies on this). *)
+(** Immutable once materialized: per-estimate accumulators live in a
+    {!scratch} owned by the caller, not on the tree, so one EPT may be
+    shared across domains and serve concurrent estimates without
+    synchronization (the serving pool relies on this). An EPT records its
+    node count and depth, which size the scratch. *)
 
 val materialize : ?max_nodes:int -> ?obs:Obs.t -> Traveler.t -> ept
 (** Drain a fresh traveler into an EPT tree. [max_nodes] (default 2_000_000)
@@ -48,6 +49,21 @@ val synthetic_node :
 
 val of_synthetic : synthetic -> ept
 
+type scratch
+(** Grow-only working memory for {!estimate}: one node-major float array
+    (EPT nodes × query-tree nodes) that the top-down pass reads back at
+    spine nodes, and three rows per DFS depth for the vectors only the
+    live root-to-leaf path needs. Once it has grown to the largest (EPT,
+    query) pair seen, an estimate allocates nothing per EPT node.
+
+    A scratch has one owner at a time and is not thread-safe: each serving
+    shard and the audit domain own one; one-shot callers take a fresh one
+    per call. It never affects results: estimates and {!match_stats} are
+    the same with a fresh or a reused scratch. *)
+
+val scratch : unit -> scratch
+(** An empty scratch; it grows on first use. *)
+
 type match_stats = {
   mutable ept_nodes : int;  (** EPT nodes visited by the bottom-up pass *)
   mutable frontier : int;  (** live candidate vectors (internal) *)
@@ -59,7 +75,9 @@ type match_stats = {
           [frontier_sum / ept_nodes] is the mean live-frontier size over
           the traversal (the distribution the peak alone cannot show) *)
   mutable match_steps : int;
-      (** (EPT node, query-tree node) combinations examined, both passes *)
+      (** (EPT node, query-tree node) combinations covered by the two
+          passes, [2 × ept_nodes × query size]; combinations a pass can
+          prove zero are skipped but still counted *)
   mutable het_joint_overrides : int;
       (** predicate groups whose correlated bsel came from a joint HET
           pattern, replacing the sibling-independence product *)
@@ -71,6 +89,7 @@ type match_stats = {
 }
 
 val estimate :
+  ?scratch:scratch ->
   ?het:Het.t ->
   ?values:Value_synopsis.t ->
   ?obs:Obs.t ->
@@ -82,10 +101,12 @@ val estimate :
     given, value-predicate selectivities multiply into the match
     probabilities; without it value predicates are ignored (factor 1).
     When [obs] is given, publishes the [matcher.*] counters of
-    {!match_stats}. @raise Invalid_argument if the query has more than 62
-    steps. *)
+    {!match_stats}. Without [scratch] the call allocates a fresh one. The
+    matcher accepts query trees of any size; {!Estimator.query_tree} holds
+    the serving-wide query-shape check. *)
 
 val estimate_with_stats :
+  ?scratch:scratch ->
   ?het:Het.t ->
   ?values:Value_synopsis.t ->
   table:Xml.Label.table ->

@@ -14,13 +14,19 @@ let open_bracket = 1
 let close_bracket = 2
 let slash = 3
 
+let rec is_sorted = function
+  | a :: (b :: _ as rest) -> a <= b && is_sorted rest
+  | _ -> true
+
+(* Callers on the estimate path pass pre-sorted labels; skip the copy. *)
+let sorted labels = if is_sorted labels then labels else List.sort Int.compare labels
+
 let branching ~parent ~predicates ~next =
   let h = extend empty parent in
   let h =
     List.fold_left
       (fun h q -> step (extend (step h open_bracket) q) close_bracket)
-      h
-      (List.sort Int.compare predicates)
+      h (sorted predicates)
   in
   extend (step h slash) next
 
@@ -34,5 +40,5 @@ let key_of_labels labels = String.concat "/" (List.map string_of_int labels)
 let branching_key ~parent ~predicates ~next =
   Printf.sprintf "%d[%s]/%d" parent
     (String.concat ","
-       (List.map string_of_int (List.sort Int.compare predicates)))
+       (List.map string_of_int (sorted predicates)))
     next

@@ -100,7 +100,7 @@ let rec take n = function
    of the canonical query; a step's contribution is the factor by which it
    grows the running q-error, so the worst step is where accuracy is lost.
    The full query's exact cardinality falls out as the last prefix's. *)
-let audit_one ~estimator ~ept ~storage ~estimate ast =
+let audit_one ?scratch ~estimator ~ept ~storage ~estimate ast =
   match
     Core.Error.guard (fun () ->
         let prev_q = ref 1.0 in
@@ -109,7 +109,10 @@ let audit_one ~estimator ~ept ~storage ~estimate ast =
             (fun i (step : Xpath.Ast.step) ->
               let prefix = take (i + 1) ast in
               let outcome =
-                match Core.Estimator.estimate_result_on estimator ept prefix with
+                match
+                  Core.Estimator.estimate_result_on ?scratch estimator ept
+                    prefix
+                with
                 | Ok o -> o
                 | Error e -> raise (Core.Error.Xseed e)
               in
@@ -216,6 +219,7 @@ type resources = {
   r_estimator : Core.Estimator.t;
   r_ept : Core.Matcher.ept Lazy.t;
   r_storage : Nok.Storage.t;
+  r_scratch : Core.Matcher.scratch;  (* the audit domain's own *)
 }
 
 type t = {
@@ -258,7 +262,8 @@ let load_resources source =
     Ok
       { r_estimator = estimator;
         r_ept = lazy (Core.Estimator.ept estimator);
-        r_storage = storage }
+        r_storage = storage;
+        r_scratch = Core.Matcher.scratch () }
   | Paths { synopsis; doc } ->
     (match Core.Error.read_file synopsis with
      | Error e -> Error (Core.Error.to_string e)
@@ -285,7 +290,8 @@ let load_resources source =
                 Ok
                   { r_estimator = estimator;
                     r_ept = lazy (Core.Estimator.ept estimator);
-                    r_storage = storage }))))
+                    r_storage = storage;
+                    r_scratch = Core.Matcher.scratch () }))))
 
 let record_result t outcome =
   Mutex.protect t.m (fun () ->
@@ -364,7 +370,8 @@ let audit_loop t =
           let res =
             match
               try
-                audit_one ~estimator:r.r_estimator ~ept:r.r_ept
+                audit_one ~scratch:r.r_scratch ~estimator:r.r_estimator
+                  ~ept:r.r_ept
                   ~storage:r.r_storage ~estimate:job.j_estimate job.j_ast
               with exn -> Error (Printexc.to_string exn)
             with

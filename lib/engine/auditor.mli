@@ -94,6 +94,7 @@ val window_json : float array -> Obs.Json.t
     [xseed audit]'s summary line. *)
 
 val audit_one :
+  ?scratch:Core.Matcher.scratch ->
   estimator:Core.Estimator.t ->
   ept:Core.Matcher.ept Lazy.t ->
   storage:Nok.Storage.t ->
@@ -105,7 +106,8 @@ val audit_one :
     canonical AST. [estimate] is the served (or offline-estimated) value
     the headline q-error judges. Errors (query too large for the NoK
     bitmask, value predicates without collected values, ...) come back as
-    a message, never an exception. *)
+    a message, never an exception. [scratch] is the caller's own matcher
+    scratch; the audit domain passes the one it owns. *)
 
 val audited_json : audited -> Obs.Json.t
 (** One attribution record: query, estimate, actual, q-error, worst step

@@ -45,6 +45,7 @@ type t = {
   recorder : Flight_recorder.t option;
   volume : Drift.shard option;
   trace : tracing option;
+  scratch : Core.Matcher.scratch;
 }
 
 let create ?cache ?trace shared ~estimator ~recorder =
@@ -53,7 +54,8 @@ let create ?cache ?trace shared ~estimator ~recorder =
     cache;
     recorder;
     volume = Option.map Drift.register_shard shared.drift;
-    trace }
+    trace;
+    scratch = Core.Matcher.scratch () }
 
 let parse query =
   match Xpath.Parser.parse_result query with
@@ -202,7 +204,10 @@ let estimate ?seq ~enqueued_at t ast =
          e)
     in
     let t1 = Obs.now_mono () in
-    (match Core.Estimator.estimate_result_stats_on t.estimator ept cast with
+    (match
+       Core.Estimator.estimate_result_stats_on ~scratch:t.scratch t.estimator
+         ept cast
+     with
      | Error e -> Error e
      | Ok (outcome, ms) ->
        let miss_s = Obs.now_mono () -. t1 in
@@ -292,16 +297,7 @@ let explain ?obs ?seq ~cached t ast =
     if cached key.Canonical.text then Core.Explain.Hit else Core.Explain.Miss
   in
   let het_before = het_snapshot s in
-  match
-    guard_ept (fun () ->
-        let qt = Xpath.Query_tree.of_path cast in
-        if qt.Xpath.Query_tree.size > 62 then
-          Core.Error.raisef Core.Error.Malformed_query
-            "query tree has %d nodes; the matcher's bitset encoding supports \
-             62"
-            qt.Xpath.Query_tree.size;
-        Core.Explain.run ?obs s.base cast)
-  with
+  match guard_ept (fun () -> Core.Explain.run ?obs s.base cast) with
   | Error e -> Error e
   | Ok r ->
     emit ?seq t ~query:key.Canonical.text ~hash:key.Canonical.hash

@@ -64,6 +64,9 @@ type t = {
   recorder : Flight_recorder.t option;
   volume : Drift.shard option;  (** this shard's drift volume rings *)
   trace : tracing option;
+  scratch : Core.Matcher.scratch;
+      (** the matcher scratch every miss reuses; like [trace.buf], used
+          only by the shard's single runner *)
 }
 
 val create :

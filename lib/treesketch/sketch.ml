@@ -307,4 +307,4 @@ let estimate ?(card_threshold = 0.5) ?(max_depth = 40) ?(max_nodes = 500_000) t
   let root = find t t.root in
   let root_node = expand root (float_of_int t.classes.(root).card) 0 ~bsel:1.0 in
   let ept = Core.Matcher.of_synthetic root_node in
-  Core.Matcher.estimate ~table:t.table ept (Xpath.Query_tree.of_path path)
+  Core.Matcher.estimate ~table:t.table ept (Core.Estimator.query_tree path)

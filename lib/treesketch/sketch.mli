@@ -45,6 +45,8 @@ val estimate :
     counts; a branch's backward selectivity is [min 1 avg]) and run the
     shared matcher. [max_depth] (default 40) bounds expansion through the
     cycles a budgeted sketch can contain; [card_threshold] defaults to 0.5
-    like XSEED's traveler. *)
+    like XSEED's traveler.
+    @raise Core.Error.Xseed on a query {!Core.Estimator.query_tree}
+    refuses. *)
 
 val table : t -> Xml.Label.table

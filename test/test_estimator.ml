@@ -431,6 +431,48 @@ let prop_descendant_single_step_exact =
           Float.abs (e -. a) < 1e-6 *. Float.max 1.0 a)
         (Xml.Tree.label_counts tree))
 
+(* ------------------------------------------------------------------ *)
+(* Matcher scratch *)
+
+(* Once its scratch has grown, a miss allocates nothing per EPT node: minor
+   words per estimate stay within 1024 + 2 x EPT nodes on a small and a
+   large recursive EPT. (Per-node float vectors cost ~100 words a node.) *)
+let test_miss_allocation () =
+  let doc = Datagen.Treebank.generate ~seed:424242 ~sentences:2500 () in
+  let path_tree = Pathtree.Path_tree.of_string doc in
+  let rng = Datagen.Rng.create ~seed:5 in
+  let queries =
+    Datagen.Workload.branching path_tree ~rng ~count:100 ~mbp:2 ()
+    @ Datagen.Workload.complex path_tree ~rng ~count:100 ~mbp:2 ()
+  in
+  let nodes_at card_threshold =
+    let syn =
+      Core.Synopsis.build ~card_threshold ~bsel_threshold:0.001 doc
+    in
+    let est = Core.Synopsis.estimator syn in
+    let ept = lazy (Core.Estimator.ept est) in
+    let nodes = Core.Matcher.node_count (Lazy.force ept) in
+    let scratch = Core.Matcher.scratch () in
+    let run q =
+      match Core.Estimator.estimate_result_stats_on ~scratch est ept q with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
+    in
+    List.iter run queries;
+    let w0 = Gc.minor_words () in
+    List.iter run queries;
+    let per_miss =
+      (Gc.minor_words () -. w0) /. float_of_int (List.length queries)
+    in
+    let bound = 1024.0 +. (2.0 *. float_of_int nodes) in
+    if per_miss > bound then
+      Alcotest.failf "%d-node EPT: %.0f minor words per miss > %.0f" nodes
+        per_miss bound;
+    nodes
+  in
+  let small = nodes_at 20.0 and large = nodes_at 2.0 in
+  Alcotest.(check bool) "EPT sizes differ" true (large > 4 * small)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sp_exact_with_het; prop_estimates_finite_nonnegative;
@@ -478,5 +520,7 @@ let () =
           Alcotest.test_case "serialization" `Quick test_synopsis_serialization;
           Alcotest.test_case "without het" `Quick test_synopsis_without_het;
         ] );
+      ( "matcher scratch",
+        [ Alcotest.test_case "miss allocation" `Quick test_miss_allocation ] );
       ("properties", props);
     ]

@@ -1311,6 +1311,97 @@ let test_pool_engine_recent_parity () =
       checkb (side ^ " explain record counts HET hits") true (r.het_hits > 0))
     [ ("engine", List.hd engine_recent); ("pool", List.hd pool_recent) ]
 
+(* ------------------------------------------------------------------ *)
+(* Matcher scratch privacy *)
+
+(* Every matcher scratch has one runner. A pool worker domain and the audit
+   domain, whose [Loaded] estimator is the very one the pool serves,
+   estimate the same queries while the calling thread estimates them too
+   through its own scratch on the pool's estimator and EPT. Every result
+   must be bitwise equal to a sequential run with fresh scratches; a
+   scratch shared through the estimator would interleave the runs. *)
+let test_scratch_privacy () =
+  let doc = Datagen.Treebank.generate ~seed:3 ~sentences:300 () in
+  let est =
+    Core.Synopsis.estimator (Core.Synopsis.build ~card_threshold:2.0 doc)
+  in
+  let storage = Nok.Storage.of_string ~with_values:true doc in
+  let path_tree = Pathtree.Path_tree.of_string doc in
+  let rng = Datagen.Rng.create ~seed:17 in
+  let asts =
+    List.map Engine.Canonical.canonicalize
+      (Datagen.Workload.branching path_tree ~rng ~count:20 ~mbp:2 ()
+      @ Datagen.Workload.complex path_tree ~rng ~count:20 ~mbp:2 ())
+  in
+  let queries = List.map Xpath.Ast.to_string asts in
+  let ept = Lazy.from_val (Core.Estimator.ept est) in
+  let value ?scratch ast =
+    match Core.Estimator.estimate_result_on ?scratch est ept ast with
+    | Ok o -> o.Core.Estimator.value
+    | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
+  in
+  let expected = List.map (fun ast -> value ast) asts in
+  let expected_audit = Hashtbl.create 64 in
+  List.iter2
+    (fun ast estimate ->
+      match
+        Engine.Auditor.audit_one ~estimator:est ~ept ~storage ~estimate ast
+      with
+      | Ok a -> Hashtbl.replace expected_audit a.Engine.Auditor.query a
+      | Error msg -> Alcotest.failf "audit: %s" msg)
+    asts expected;
+  let rounds = 4 in
+  let auditor =
+    Engine.Auditor.create ~rate:1.0
+      ~queue_capacity:((rounds * List.length asts) + 1)
+      (Engine.Auditor.Loaded { estimator = est; storage })
+  in
+  let pool = Engine.Pool.create ~workers:1 ~cache_capacity:1 ~auditor est in
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Pool.shutdown pool;
+      Engine.Auditor.shutdown auditor)
+  @@ fun () ->
+  let submitter =
+    Domain.spawn (fun () ->
+        List.init rounds (fun _ -> Engine.Pool.estimate_batch pool queries))
+  in
+  let scratch = Core.Matcher.scratch () in
+  let mine =
+    List.init rounds (fun _ -> List.map (fun ast -> value ~scratch ast) asts)
+  in
+  let served = Domain.join submitter in
+  List.iter
+    (fun round ->
+      List.iter2
+        (fun e v -> Alcotest.(check int64) "calling thread" (bits e) (bits v))
+        expected round)
+    mine;
+  List.iter
+    (fun round ->
+      List.iter2
+        (fun e r ->
+          match r with
+          | Ok { Engine.Serve.value = v; _ } ->
+            Alcotest.(check int64) "pool worker" (bits e) (bits v)
+          | Error err -> Alcotest.failf "served: %s" (Core.Error.to_string err))
+        expected round)
+    served;
+  checkb "audits settle" true (Engine.Auditor.settle ~timeout_s:30.0 auditor);
+  let audited = ref 0 in
+  Engine.Auditor.drain auditor (fun (a : Engine.Auditor.audited) ->
+      incr audited;
+      match Hashtbl.find_opt expected_audit a.query with
+      | None -> Alcotest.failf "unexpected audit of %s" a.query
+      | Some (e : Engine.Auditor.audited) ->
+        checki "audited steps" (List.length e.steps) (List.length a.steps);
+        List.iter2
+          (fun (es : Engine.Auditor.step_report) (s : Engine.Auditor.step_report) ->
+            Alcotest.(check int64) "audit domain" (bits es.estimate)
+              (bits s.estimate))
+          e.steps a.steps);
+  checki "every served query audited" (rounds * List.length asts) !audited
+
 let () =
   Alcotest.run "pool"
     [ ( "work-queue",
@@ -1360,5 +1451,8 @@ let () =
             test_pool_work_stealing;
           Alcotest.test_case "splitting the last chunk" `Quick
             test_pool_steal_split ] );
+      ( "scratch",
+        [ Alcotest.test_case "privacy across domains" `Quick
+            test_scratch_privacy ] );
       ("stress", [ Alcotest.test_case "4-domain mixed ops" `Slow test_pool_stress ])
     ]
