@@ -73,7 +73,10 @@ smoke: build
 # estimate -> execute -> feedback rounds on a tiny corpus and assert the
 # per-round q-error median never increases (the paper's Figure 1 loop).
 # Then exercise the serve telemetry surface end to end (METRICS scrape,
-# flight records, drift summary) and the telemetry/audit-overhead bench
+# flight records, drift summary) and the estimate cache key: a second
+# spelling of a predicate query (reordered predicates, blanks) must hit
+# with the same value, and 100000.4 then 100000 (one key while literals
+# printed with 6 significant digits) must both miss. Last, the telemetry/audit-overhead bench
 # guards (< 5% median estimate latency vs. an untapped engine, plus the
 # audit/offline q-error agreement check).
 bench-smoke: build
@@ -84,10 +87,14 @@ bench-smoke: build
 	$(XSEED) replay $(SMOKE_DIR)/bench.xml $(SMOKE_DIR)/bench.workload \
 	  --rounds 2 --budget 8192 --assert-improving
 	$(XSEED) build $(SMOKE_DIR)/bench.xml -o $(SMOKE_DIR)/bench.syn
-	printf 'ESTIMATE //item\nFEEDBACK //item 12\nMETRICS\nRECENT 5\nDRIFT\n' \
+	printf 'ESTIMATE //item\nESTIMATE //item[quantity][location]/name\nESTIMATE //item[ location ] [ quantity ] / name\nESTIMATE //item[price>100000.4]\nESTIMATE //item[price>100000]\nFEEDBACK //item 12\nMETRICS\nRECENT 5\nDRIFT\n' \
 	  | $(XSEED) serve $(SMOKE_DIR)/bench.syn \
 	      --telemetry-out $(SMOKE_DIR)/flights.jsonl \
 	      > $(SMOKE_DIR)/serve.out
+	@sed -n 2,5p $(SMOKE_DIR)/serve.out | awk '{ r[NR] = $$3; v[NR] = $$2 } \
+	  END { exit !(r[1] == "miss" && r[2] == "hit" && v[2] == v[1] \
+	               && r[3] == "miss" && r[4] == "miss") }' \
+	  || { echo "bench-smoke: cache key replies wrong:"; sed -n 2,5p $(SMOKE_DIR)/serve.out; exit 1; }
 	@grep -q '^# TYPE xseed_engine_cache_misses counter' $(SMOKE_DIR)/serve.out
 	@grep -q '^xseed_engine_drift_qerror_p90' $(SMOKE_DIR)/serve.out
 	@grep -q '"cache":"miss"' $(SMOKE_DIR)/flights.jsonl

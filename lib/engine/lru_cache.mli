@@ -1,8 +1,11 @@
 (** Size-bounded LRU cache for served estimates.
 
-    String-keyed (canonical query text), polymorphic in the value. A
-    [find] refreshes recency; a [put] past capacity evicts the least
-    recently used entry. Counters account for every operation —
+    Hash-indexed and text-verified: an entry's key is a canonical query
+    text, indexed under its 32-bit key hash ({!Canonical.hash_of_text}).
+    A hash match only selects candidates; a comparison against the stored
+    text decides every hit, so colliding texts keep separate entries. The
+    value is polymorphic. A lookup refreshes recency; a [put] past capacity
+    evicts the least recently used entry. Counters account for every operation —
     [hits + misses = lookups] always — and can be published into an Obs
     context as [engine.cache.*]. *)
 
@@ -14,8 +17,19 @@ val create : capacity:int -> 'v t
 val capacity : 'v t -> int
 val length : 'v t -> int
 
+val find_hashed : 'v t -> hash:int -> (string -> bool) -> (string * 'v) option
+(** [find_hashed t ~hash matches]: the entry indexed under [hash] whose
+    stored key text satisfies [matches], as that text and its value.
+    Counted: a hit refreshes the entry's recency. The serving path probes
+    with {!Canonical.hash} and {!Canonical.matches}, so a hit builds no
+    text. *)
+
+val put_hashed : 'v t -> hash:int -> string -> 'v -> unit
+(** {!put} with the key text's hash already in hand. [hash] must be the
+    text's {!Canonical.hash_of_text} for the string API to find it. *)
+
 val find : 'v t -> string -> 'v option
-(** Counted: a hit refreshes the entry's recency. *)
+(** {!find_hashed} on the text's hash, matching it exactly. *)
 
 val mem : 'v t -> string -> bool
 (** Uncounted, recency-neutral peek. *)

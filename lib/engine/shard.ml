@@ -165,15 +165,19 @@ let estimate ?seq ~enqueued_at t ast =
   let s = t.shared in
   let t0 = Obs.now_mono () in
   let cast = Canonical.canonicalize ast in
-  let key = Canonical.of_ast cast in
+  let hash = Canonical.hash cast in
   let canonicalize_s = Obs.now_mono () -. t0 in
   trace_stage t `Canonicalize ~t0 ~dur:canonicalize_s;
-  let query = key.Canonical.text and hash = key.Canonical.hash in
+  (* A hit is verified against, and reports, the stored key text: a
+     repeat never renders its query. *)
   let cached =
-    match t.cache with Some c -> Lru_cache.find c query | None -> None
+    match t.cache with
+    | Some c -> Lru_cache.find_hashed c ~hash (Canonical.matches cast)
+    | None -> None
   in
   match cached with
-  | Some outcome ->
+  | Some (query, outcome) ->
+    let key = { Canonical.hash; text = query } in
     let value = outcome.Core.Estimator.value in
     emit ?seq t ~query ~hash ~cache:Flight_recorder.Hit ~estimate:value
       ~canonicalize_s ~ept_s:0.0 ~match_s:0.0 ~ept_nodes:0 ~frontier_peak:0
@@ -189,9 +193,12 @@ let estimate ?seq ~enqueued_at t ast =
        cache hit above never times out: answering it is cheaper than
        refusing. *)
     Atomic.incr s.timeouts;
-    refuse ?seq t ~query ~hash ~cache:Flight_recorder.Timed_out;
+    refuse ?seq t ~query:(Xpath.Ast.to_string cast) ~hash
+      ~cache:Flight_recorder.Timed_out;
     Error (timeout_error ())
   | None ->
+    let query = Xpath.Ast.to_string cast in
+    let key = { Canonical.hash; text = query } in
     (* HET hits are counted from after the EPT is in hand, so they are the
        matcher's own lookups whether or not this miss built the EPT. *)
     let ept_s = ref 0.0 and het_before = ref None in
@@ -214,7 +221,7 @@ let estimate ?seq ~enqueued_at t ast =
        let status =
          match t.cache with
          | Some c ->
-           Lru_cache.put c query outcome;
+           Lru_cache.put_hashed c ~hash query outcome;
            Core.Explain.Miss
          | None -> Core.Explain.Bypass
        in

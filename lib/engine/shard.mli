@@ -11,7 +11,10 @@
 
     The estimate pipeline is: canonicalize → cache probe → deadline
     checkpoint → estimator on the shared EPT → cache fill → flight record
-    → drift volume → audit tap → trace stage. *)
+    → drift volume → audit tap → trace stage. The probe hashes and
+    verifies the canonical key straight from the AST
+    ({!Canonical.hash}, {!Canonical.matches}); a hit reports the stored
+    key text, and only a miss renders its query. *)
 
 type shared = {
   base : Core.Estimator.t;

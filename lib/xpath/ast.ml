@@ -33,10 +33,6 @@ and compare a b = List.compare compare_step a b
 
 let equal a b = compare a b = 0
 
-let pp_test ppf = function
-  | Name n -> Format.pp_print_string ppf n
-  | Wildcard -> Format.pp_print_char ppf '*'
-
 let cmp_to_string = function
   | Eq -> "="
   | Ne -> "!="
@@ -45,46 +41,113 @@ let cmp_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
-let pp_literal ppf = function
-  | Number x ->
-    if Float.is_integer x && Float.abs x < 1e15 then
-      Format.pp_print_int ppf (int_of_float x)
-    else Format.fprintf ppf "%g" x
-  | Text s -> Format.fprintf ppf "'%s'" s
+(* The shortest plain decimal (no exponent: the parser reads none) that
+   [float_of_string] maps back to [x]. A double's 15-significant-digit
+   rounding reads back whenever any spelling of at most 15 digits does
+   (DBL_DIG), so the first of 15, 16 or 17 digits that round-trips, with
+   trailing zeros stripped, is the shortest. Subnormals hold fewer digits
+   and search from one. The digits are then laid out around the decimal
+   point. *)
+let plain_decimal x =
+  if not (Float.is_finite x) then Printf.sprintf "%g" x
+  else
+    let a = Float.abs x in
+    let rec round_trip p =
+      let s = Printf.sprintf "%.*e" p a in
+      if p >= 16 || float_of_string s = a then s else round_trip (p + 1)
+    in
+    let s = round_trip (if a < Float.min_float then 0 else 14) in
+    let e = String.index s 'e' in
+    let exp = int_of_string (String.sub s (e + 1) (String.length s - e - 1)) in
+    let digits = String.concat "" (String.split_on_char '.' (String.sub s 0 e)) in
+    let rec significant k = if k > 1 && digits.[k - 1] = '0' then significant (k - 1) else k in
+    let k = significant (String.length digits) in
+    let digits = String.sub digits 0 k in
+    let body =
+      if exp >= k - 1 then digits ^ String.make (exp - k + 1) '0'
+      else if exp >= 0 then
+        String.sub digits 0 (exp + 1) ^ "." ^ String.sub digits (exp + 1) (k - exp - 1)
+      else "0." ^ String.make (-exp - 1) '0' ^ digits
+    in
+    if x < 0.0 then "-" ^ body else body
 
-let pp_value_predicate ppf { target; cmp; literal } =
-  (match target with
-   | Child_text n -> Format.pp_print_string ppf n
-   | Attribute a -> Format.fprintf ppf "@%s" a);
-  Format.pp_print_string ppf (cmp_to_string cmp);
-  pp_literal ppf literal
+(* The one renderer. [fold_chars f acc path] feeds [f] the bytes of the
+   XPath concrete syntax in order without building the text, so the
+   canonical cache key can be hashed and compared straight from the AST.
+   Explicit recursion rather than [List.fold_left] keeps it closure-free:
+   only a non-integer number literal (rendered by [plain_decimal])
+   allocates. *)
 
-let rec pp_step ppf { axis; test; predicates; value_predicates } =
-  (match axis with
-   | Child -> Format.pp_print_string ppf "/"
-   | Descendant -> Format.pp_print_string ppf "//");
-  pp_test ppf test;
-  pp_qualifiers ppf predicates value_predicates
+let rec fold_from f acc s i =
+  if i = String.length s then acc
+  else fold_from f (f acc (String.unsafe_get s i)) s (i + 1)
 
-and pp_qualifiers ppf predicates value_predicates =
-  List.iter (fun p -> Format.fprintf ppf "[%a]" pp_relative p) predicates;
-  List.iter (fun v -> Format.fprintf ppf "[%a]" pp_value_predicate v) value_predicates
+let fold_string f acc s = fold_from f acc s 0
 
-and pp ppf path = List.iter (pp_step ppf) path
+let rec fold_digits f acc n =
+  let acc = if n >= 10 then fold_digits f acc (n / 10) else acc in
+  f acc (Char.unsafe_chr (Char.code '0' + (n mod 10)))
 
-and pp_relative ppf = function
-  | [] -> ()
+let fold_number f acc x =
+  if Float.is_integer x && Float.abs x < 1e15 then
+    let n = int_of_float x in
+    if n < 0 then fold_digits f (f acc '-') (-n) else fold_digits f acc n
+  else fold_string f acc (plain_decimal x)
+
+let fold_test f acc = function
+  | Name n -> fold_string f acc n
+  | Wildcard -> f acc '*'
+
+let fold_value_predicate f acc { target; cmp; literal } =
+  let acc =
+    match target with
+    | Child_text n -> fold_string f acc n
+    | Attribute a -> fold_string f (f acc '@') a
+  in
+  let acc = fold_string f acc (cmp_to_string cmp) in
+  match literal with
+  | Number x -> fold_number f acc x
+  | Text s -> f (fold_string f (f acc '\'') s) '\''
+
+let rec fold_chars f acc = function
+  | [] -> acc
+  | { axis; test; predicates; value_predicates } :: rest ->
+    let acc =
+      match axis with Child -> f acc '/' | Descendant -> f (f acc '/') '/'
+    in
+    let acc = fold_qualifiers f (fold_test f acc test) predicates value_predicates in
+    fold_chars f acc rest
+
+and fold_qualifiers f acc predicates value_predicates =
+  match (predicates, value_predicates) with
+  | p :: rest, _ ->
+    fold_qualifiers f (f (fold_relative f (f acc '[') p) ']') rest value_predicates
+  | [], v :: rest ->
+    fold_qualifiers f (f (fold_value_predicate f (f acc '[') v) ']') [] rest
+  | [], [] -> acc
+
+and fold_relative f acc = function
+  | [] -> acc
   | first :: rest ->
     (* Inside a predicate a leading child axis is implicit; a leading
        descendant axis is written [.//], XPath style. *)
-    (match first.axis with
-     | Child -> ()
-     | Descendant -> Format.pp_print_string ppf ".//");
-    pp_test ppf first.test;
-    pp_qualifiers ppf first.predicates first.value_predicates;
-    pp ppf rest
+    let acc =
+      match first.axis with
+      | Child -> acc
+      | Descendant -> f (f (f acc '.') '/') '/'
+    in
+    let acc =
+      fold_qualifiers f (fold_test f acc first.test) first.predicates
+        first.value_predicates
+    in
+    fold_chars f acc rest
 
-let to_string path = Format.asprintf "%a" pp path
+let to_string path =
+  let b = Buffer.create 64 in
+  fold_chars (fun () c -> Buffer.add_char b c) () path;
+  Buffer.contents b
+
+let pp ppf path = Format.pp_print_string ppf (to_string path)
 
 let rec steps path =
   List.fold_left

@@ -38,10 +38,21 @@ and t = step list
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+val fold_chars : ('a -> char -> 'a) -> 'a -> t -> 'a
+(** The one renderer: feeds the bytes of the XPath concrete syntax, e.g.
+    [//regions/australia/item[shipping]/location], to the function in
+    order, without building the text. Predicates print before value
+    predicates; a predicate's leading descendant step prints as [.//].
+    A number prints as an integer when it is one below [1e15] in
+    magnitude, and otherwise as the shortest plain decimal (no exponent)
+    that reads back to the same float, so the parser reads every finite
+    number back exactly. Allocates only for such non-integer numbers. *)
+
 val pp : Format.formatter -> t -> unit
-(** Prints in XPath concrete syntax, e.g. [//regions/australia/item[shipping]/location]. *)
+(** Prints {!fold_chars}'s bytes. *)
 
 val to_string : t -> string
+(** {!fold_chars}'s bytes as a string. *)
 
 val steps : t -> int
 (** Number of location steps, including steps inside predicates. *)

@@ -99,6 +99,219 @@ let prop_canonical_predicate_order =
       Engine.Canonical.equal (Engine.Canonical.of_ast q)
         (Engine.Canonical.of_ast (rev_preds q)))
 
+(* The streamed key: hashing and verifying straight from the AST must agree
+   with the materialized text on every AST, including value predicates,
+   [.//] relative steps and nested predicates. *)
+
+(* The Format renderer the streamed one replaced, kept as the oracle for
+   every AST whose numbers are integers below 1e15 in magnitude. *)
+module Format_oracle = struct
+  open Xpath.Ast
+
+  let pp_test ppf = function
+    | Name n -> Format.pp_print_string ppf n
+    | Wildcard -> Format.pp_print_char ppf '*'
+
+  let cmp_to_string = function
+    | Eq -> "="
+    | Ne -> "!="
+    | Lt -> "<"
+    | Le -> "<="
+    | Gt -> ">"
+    | Ge -> ">="
+
+  let pp_literal ppf = function
+    | Number x ->
+      if Float.is_integer x && Float.abs x < 1e15 then
+        Format.pp_print_int ppf (int_of_float x)
+      else Format.fprintf ppf "%g" x
+    | Text s -> Format.fprintf ppf "'%s'" s
+
+  let pp_value_predicate ppf { target; cmp; literal } =
+    (match target with
+     | Child_text n -> Format.pp_print_string ppf n
+     | Attribute a -> Format.fprintf ppf "@%s" a);
+    Format.pp_print_string ppf (cmp_to_string cmp);
+    pp_literal ppf literal
+
+  let rec pp_step ppf { axis; test; predicates; value_predicates } =
+    (match axis with
+     | Child -> Format.pp_print_string ppf "/"
+     | Descendant -> Format.pp_print_string ppf "//");
+    pp_test ppf test;
+    pp_qualifiers ppf predicates value_predicates
+
+  and pp_qualifiers ppf predicates value_predicates =
+    List.iter (fun p -> Format.fprintf ppf "[%a]" pp_relative p) predicates;
+    List.iter
+      (fun v -> Format.fprintf ppf "[%a]" pp_value_predicate v)
+      value_predicates
+
+  and pp ppf path = List.iter (pp_step ppf) path
+
+  and pp_relative ppf = function
+    | [] -> ()
+    | first :: rest ->
+      (match first.axis with
+       | Child -> ()
+       | Descendant -> Format.pp_print_string ppf ".//");
+      pp_test ppf first.test;
+      pp_qualifiers ppf first.predicates first.value_predicates;
+      pp ppf rest
+
+  let to_string path = Format.asprintf "%a" pp path
+end
+
+(* Names share prefixes ("a", "ab", "abc") so near-miss texts are common. *)
+let gen_value_ast_with ~fractions : Xpath.Ast.t QCheck.arbitrary =
+  let open QCheck in
+  let names = [| "a"; "ab"; "abc"; "b"; "item"; "price"; "x" |] in
+  let gen_name rand = names.(Gen.int_bound (Array.length names - 1) rand) in
+  let gen_number rand =
+    match Gen.int_bound (if fractions then 5 else 1) rand with
+    | 0 -> float_of_int (Gen.int_range (-1000) 1000 rand)
+    | 1 -> float_of_int (Gen.int_range (-99_999_999) 99_999_999 rand)
+    | 2 -> float_of_int (Gen.int_range (-4000) 4000 rand) /. 8.0
+    | 3 -> 100000.0 +. (float_of_int (Gen.int_bound 9 rand) /. 10.0)
+    | 4 -> Float.pow 10.0 (float_of_int (Gen.int_range (-8) 22 rand))
+    | _ ->
+      (Gen.float_bound_inclusive 1.0 rand -. 0.5)
+      *. Float.pow 10.0 (float_of_int (Gen.int_range (-6) 18 rand))
+  in
+  let gen_value_predicate rand =
+    let target =
+      if Gen.bool rand then Xpath.Ast.Child_text (gen_name rand)
+      else Xpath.Ast.Attribute (gen_name rand)
+    in
+    if Gen.bool rand then
+      { Xpath.Ast.target;
+        cmp = (if Gen.bool rand then Xpath.Ast.Eq else Xpath.Ast.Ne);
+        literal =
+          Xpath.Ast.Text
+            (String.init (Gen.int_bound 4 rand) (fun _ ->
+                 "ab 1".[Gen.int_bound 3 rand])) }
+    else
+      let cmps = Xpath.Ast.[| Eq; Ne; Lt; Le; Gt; Ge |] in
+      { Xpath.Ast.target;
+        cmp = cmps.(Gen.int_bound 5 rand);
+        literal = Xpath.Ast.Number (gen_number rand) }
+  in
+  let gen_test rand =
+    if Gen.int_bound 5 rand = 0 then Xpath.Ast.Wildcard
+    else Xpath.Ast.Name (gen_name rand)
+  in
+  let gen_axis rand =
+    if Gen.int_bound 3 rand = 0 then Xpath.Ast.Descendant else Xpath.Ast.Child
+  in
+  let rec gen_path depth len rand =
+    List.init len (fun _ ->
+        let predicates =
+          if depth >= 2 then []
+          else
+            List.init (Gen.int_bound 2 rand) (fun _ ->
+                gen_path (depth + 1) (1 + Gen.int_bound 1 rand) rand)
+        in
+        let value_predicates =
+          List.init (Gen.int_bound 2 rand) (fun _ -> gen_value_predicate rand)
+        in
+        { Xpath.Ast.axis = gen_axis rand; test = gen_test rand; predicates;
+          value_predicates })
+  in
+  make ~print:Xpath.Ast.to_string (fun rand ->
+      gen_path 0 (1 + Gen.int_bound 3 rand) rand)
+
+let gen_value_ast = gen_value_ast_with ~fractions:true
+
+let prop_streamed_hash =
+  QCheck.Test.make ~count:1000 ~name:"streamed hash = hash of the text"
+    gen_value_ast (fun q ->
+      let k = Engine.Canonical.of_ast q in
+      Engine.Canonical.hash (Engine.Canonical.canonicalize q) = k.Engine.Canonical.hash
+      && k.Engine.Canonical.hash = Engine.Canonical.hash_of_text k.Engine.Canonical.text
+      && Engine.Canonical.hash q
+         = Engine.Canonical.hash_of_text (Xpath.Ast.to_string q))
+
+let prop_matches_iff_equal_text =
+  QCheck.Test.make ~count:1000 ~name:"matches iff texts are equal"
+    (QCheck.pair gen_value_ast gen_value_ast) (fun (q1, q2) ->
+      let c1 = Engine.Canonical.canonicalize q1 in
+      let t1 = (Engine.Canonical.of_ast q1).Engine.Canonical.text in
+      let t2 = (Engine.Canonical.of_ast q2).Engine.Canonical.text in
+      let n = String.length t1 in
+      Engine.Canonical.matches c1 t1
+      && Engine.Canonical.matches c1 t2 = String.equal t1 t2
+      && (not (Engine.Canonical.matches c1 (t1 ^ "b")))
+      && not (Engine.Canonical.matches c1 (String.sub t1 0 (n - 1))))
+
+let prop_canonical_physical =
+  QCheck.Test.make ~count:1000 ~name:"canonical input returned as is"
+    gen_value_ast (fun q ->
+      let c = Engine.Canonical.canonicalize q in
+      Engine.Canonical.canonicalize c == c)
+
+let prop_renderer_matches_format_oracle =
+  QCheck.Test.make ~count:1000 ~name:"renderer = Format renderer"
+    (gen_value_ast_with ~fractions:false) (fun q ->
+      String.equal (Xpath.Ast.to_string q) (Format_oracle.to_string q)
+      && String.equal (Format.asprintf "%a" Xpath.Ast.pp q)
+           (Format_oracle.to_string q))
+
+let prop_key_text_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"of_string key.text = key" gen_value_ast
+    (fun q ->
+      let k = Engine.Canonical.of_ast q in
+      match Engine.Canonical.of_string k.Engine.Canonical.text with
+      | Ok k' ->
+        Engine.Canonical.equal k k' && k.Engine.Canonical.hash = k'.Engine.Canonical.hash
+      | Error _ -> false)
+
+let test_matches_prefix_trap () =
+  let cast q = Engine.Canonical.canonicalize (Xpath.Parser.parse q) in
+  checkb "//a does not match //ab" false
+    (Engine.Canonical.matches (cast "//a") "//ab");
+  checkb "//ab does not match //a" false
+    (Engine.Canonical.matches (cast "//ab") "//a");
+  checkb "//a matches //a" true (Engine.Canonical.matches (cast "//a") "//a")
+
+(* Number literals render at full precision: distinct values, distinct
+   keys (100000.4 and 100000 shared one while numbers printed with 6
+   significant digits), and every key text parses back to itself. *)
+let test_number_literal_keys () =
+  let queries =
+    [ "//item[price>100000.4]"; "//item[price>100000.6]"; "//item[price>100000]" ]
+  in
+  let keys = List.map key_text queries in
+  checki "three distinct keys" 3 (List.length (List.sort_uniq compare keys));
+  List.iter2 (fun q k -> checks q q k) queries keys;
+  List.iter
+    (fun q ->
+      match Engine.Canonical.of_string q with
+      | Error e -> Alcotest.failf "%s: %s" q (Core.Error.to_string e)
+      | Ok k ->
+        (match Engine.Canonical.of_string k.Engine.Canonical.text with
+         | Ok k' ->
+           checks ("round trip " ^ q) k.Engine.Canonical.text k'.Engine.Canonical.text;
+           checki ("round trip hash " ^ q) k.Engine.Canonical.hash
+             k'.Engine.Canonical.hash
+         | Error e -> Alcotest.failf "reparse %s: %s" q (Core.Error.to_string e)))
+    queries;
+  let render x =
+    Xpath.Ast.to_string
+      [ { Xpath.Ast.axis = Child; test = Name "a"; predicates = [];
+          value_predicates =
+            [ { target = Child_text "x"; cmp = Eq; literal = Number x } ] } ]
+  in
+  List.iter
+    (fun (x, text) ->
+      checks text text (render x);
+      checkb (text ^ " reads back") true
+        (match Xpath.Parser.parse text with
+         | [ { value_predicates = [ { literal = Number y; _ } ]; _ } ] -> y = x
+         | _ -> false))
+    [ (123456789.5, "/a[x=123456789.5]"); (1e15, "/a[x=1000000000000000]");
+      (1e23, "/a[x=100000000000000000000000]"); (0.1, "/a[x=0.1]");
+      (-2.5e-7, "/a[x=-0.00000025]"); (-42.0, "/a[x=-42]") ]
+
 (* ------------------------------------------------------------------ *)
 (* LRU cache *)
 
@@ -167,6 +380,71 @@ let test_lru_refresh_and_invalidate () =
   Alcotest.check_raises "capacity 0 rejected"
     (Invalid_argument "Lru_cache.create: capacity 0 < 1") (fun () ->
       ignore (Engine.Lru_cache.create ~capacity:0))
+
+(* Two texts on one 32-bit hash keep separate entries: "//a297959" and
+   "//a818310" collide under the canonical key hash, and a forced hash
+   puts any two texts on one index slot. *)
+let test_lru_hash_collisions () =
+  let module L = Engine.Lru_cache in
+  let lookups = ref 0 in
+  let find c key =
+    incr lookups;
+    L.find c key
+  in
+  let a = "//a297959" and b = "//a818310" in
+  checki "real collision" (Engine.Canonical.hash_of_text a)
+    (Engine.Canonical.hash_of_text b);
+  let c = L.create ~capacity:2 in
+  let answers key v = checkb (key ^ " answers its own") true (find c key = Some v) in
+  L.put c a 1;
+  checkb "other text misses" true (find c b = None);
+  L.put c b 2;  (* chain b, a *)
+  checki "both stored" 2 (L.length c);
+  answers a 1;
+  answers b 2;
+  L.put c "/z" 3;  (* evicts a, behind b in the chain *)
+  checkb "a evicted" false (L.mem c a);
+  answers b 2;
+  L.put c a 11;  (* evicts "/z"; chain a, b *)
+  L.remove c a;  (* the chain's head *)
+  answers b 2;
+  L.put c a 12;  (* chain a, b; b is the LRU entry *)
+  L.put c "/z" 3;  (* evicts b, behind a *)
+  answers a 12;
+  L.put c b 4;  (* evicts "/z"; chain b, a *)
+  answers a 12;
+  L.put c "/y" 5;  (* evicts b, the chain's head *)
+  answers a 12;
+  L.put c b 6;  (* evicts "/y"; chain b, a *)
+  L.remove c a;  (* behind b *)
+  checkb "a removed" false (L.mem c a);
+  answers b 6;
+  let k = L.counters c in
+  checki "hits + misses = lookups" !lookups (k.L.hits + k.L.misses);
+  checki "evictions" 6 k.L.evictions;
+  checki "invalidations" 2 k.L.invalidations;
+  (* Forced: a hash match only selects candidates; the text decides. *)
+  let f = L.create ~capacity:3 in
+  let probe key =
+    incr lookups;
+    L.find_hashed f ~hash:7 (String.equal key)
+  in
+  lookups := 0;
+  L.put_hashed f ~hash:7 "/x" 10;
+  L.put_hashed f ~hash:7 "/y" 20;
+  L.put_hashed f ~hash:7 "/u" 30;  (* chain u, y, x *)
+  checkb "x answers x" true (probe "/x" = Some ("/x", 10));
+  checkb "u answers u" true (probe "/u" = Some ("/u", 30));
+  checkb "stranger misses" true (probe "/w" = None);
+  L.put_hashed f ~hash:7 "/x" 11;
+  checki "refresh, not insert" 3 (L.length f);
+  L.put_hashed f ~hash:8 "/v" 40;  (* evicts y, mid-chain *)
+  checkb "y evicted" true (probe "/y" = None);
+  checkb "x survives" true (probe "/x" = Some ("/x", 11));
+  checkb "u survives" true (probe "/u" = Some ("/u", 30));
+  let k = L.counters f in
+  checki "forced: hits + misses = lookups" !lookups (k.L.hits + k.L.misses);
+  checki "forced: one eviction" 1 k.L.evictions
 
 (* ------------------------------------------------------------------ *)
 (* HET collisions: two distinct paths forced onto one hash must coexist. *)
@@ -260,6 +538,56 @@ let test_engine_cache_hit_miss () =
   (* Errors are not cached and do not disturb the counters' balance. *)
   let c = Engine.cache_counters engine in
   checki "error not counted" 2 (c.Engine.Lru_cache.hits + c.Engine.Lru_cache.hits - 2)
+
+(* A hit is decided by the key text, never by the hash or a rounded
+   literal: neighbours miss, and each answers with its own entry. *)
+let test_engine_text_verified_hits () =
+  let engine = engine_over correlated_doc in
+  List.iter
+    (fun (first, second) ->
+      checkb ("first " ^ first) true
+        (served_status engine first = Core.Explain.Miss);
+      checkb ("neighbour " ^ second) true
+        (served_status engine second = Core.Explain.Miss);
+      checkb ("repeat " ^ first) true
+        (served_status engine first = Core.Explain.Hit);
+      checkb ("repeat " ^ second) true
+        (served_status engine second = Core.Explain.Hit))
+    [ ("//a297959", "//a818310");  (* one 32-bit key hash *)
+      ("/r/a[x>100000.4]", "/r/a[x>100000]") ];
+  match Engine.estimate engine "/r/a[x>100000.4]" with
+  | Ok s ->
+    checks "hit reports the stored key" "/r/a[x>100000.4]"
+      s.Engine.key.Engine.Canonical.text
+  | Error e -> Alcotest.failf "estimate: %s" (Core.Error.to_string e)
+
+(* A warm hit on a canonical spelling allocates a bounded number of minor
+   words whatever the query's length: no text is built. *)
+let test_engine_hit_allocation () =
+  let doc =
+    "<site><regions><africa><item><location/><quantity/><mailbox><mail>\
+     <from/><to/></mail></mailbox><description><text/></description>\
+     </item></africa></regions><people><person/></people></site>"
+  in
+  let engine = engine_over doc in
+  List.iter
+    (fun q ->
+      let ast = Engine.Canonical.canonicalize (Xpath.Parser.parse q) in
+      checks ("canonical spelling " ^ q) q (Xpath.Ast.to_string ast);
+      ignore (Engine.estimate_ast engine ast);
+      for _ = 1 to 100 do ignore (Engine.estimate_ast engine ast) done;
+      let n = 1000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        match Engine.estimate_ast engine ast with
+        | Ok { Engine.status = Core.Explain.Hit; _ } -> ()
+        | _ -> Alcotest.failf "%s: not a hit" q
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      if words > 96.0 then
+        Alcotest.failf "%s: %.1f minor words per hit (bound 96)" q words)
+    [ "/site/people/person";
+      "//item[description/text][location][mailbox/mail[from][to]][quantity]/location" ]
 
 let test_engine_feedback_refines () =
   let engine = engine_over correlated_doc in
@@ -980,7 +1308,9 @@ let test_protocol_recent_and_drift () =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_canonical_idempotent; prop_canonical_round_trip;
-      prop_canonical_predicate_order ]
+      prop_canonical_predicate_order; prop_streamed_hash;
+      prop_matches_iff_equal_text; prop_canonical_physical;
+      prop_renderer_matches_format_oracle; prop_key_text_round_trip ]
 
 let () =
   Alcotest.run "engine"
@@ -988,6 +1318,10 @@ let () =
         Alcotest.test_case "equivalent spellings" `Quick
           test_canonical_equivalent
         :: Alcotest.test_case "distinct queries" `Quick test_canonical_distinct
+        :: Alcotest.test_case "matches: prefix trap" `Quick
+             test_matches_prefix_trap
+        :: Alcotest.test_case "number literal keys" `Quick
+             test_number_literal_keys
         :: props );
       ( "lru",
         [ Alcotest.test_case "capacity + eviction order" `Quick
@@ -995,7 +1329,8 @@ let () =
           Alcotest.test_case "counters balance" `Quick
             test_lru_counters_balance;
           Alcotest.test_case "refresh + invalidate" `Quick
-            test_lru_refresh_and_invalidate ] );
+            test_lru_refresh_and_invalidate;
+          Alcotest.test_case "hash collisions" `Quick test_lru_hash_collisions ] );
       ( "het",
         [ Alcotest.test_case "forced collision" `Quick
             test_het_forced_collision;
@@ -1003,6 +1338,9 @@ let () =
             test_het_legacy_pathless ] );
       ( "engine",
         [ Alcotest.test_case "cache hit/miss" `Quick test_engine_cache_hit_miss;
+          Alcotest.test_case "text-verified hits" `Quick
+            test_engine_text_verified_hits;
+          Alcotest.test_case "hit allocation" `Quick test_engine_hit_allocation;
           Alcotest.test_case "feedback refines" `Quick
             test_engine_feedback_refines;
           Alcotest.test_case "simple-path feedback" `Quick
