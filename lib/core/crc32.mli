@@ -9,4 +9,5 @@ val to_hex : int -> string
 (** Fixed-width lowercase hex (8 digits), the on-disk spelling. *)
 
 val of_hex : string -> int option
-(** Inverse of {!to_hex}; [None] unless exactly 8 hex digits. *)
+(** Inverse of {!to_hex}; [None] unless exactly 8 hex digits (no sign,
+    base prefix or ['_'] separator). *)

@@ -19,13 +19,20 @@ type counters = {
 (* Each 32-bit hash maps to a bucket of entries discriminated by their
    canonical path, so two colliding paths coexist instead of the later
    insert silently overwriting the earlier one. Buckets are almost always
-   singletons; collisions only show up on 32-bit hash clashes. *)
+   singletons; collisions only show up on 32-bit hash clashes.
+
+   While [budget = None] every entry is active, and the [*_active] fields
+   are the very same tables as [*_all], so an insert lands once.
+   [set_budget] gives the active sets tables of their own;
+   [unlimited_budget] shares them again. *)
 type t = {
   simple_all : (int, simple_entry list) Hashtbl.t;
   branching_all : (int, branching_entry list) Hashtbl.t;
-  simple_active : (int, simple_entry list) Hashtbl.t;
-  branching_active : (int, branching_entry list) Hashtbl.t;
+  mutable simple_active : (int, simple_entry list) Hashtbl.t;
+  mutable branching_active : (int, branching_entry list) Hashtbl.t;
   mutable budget : int option;  (* None = unlimited *)
+  mutable simple_generation : int;
+      (* bumped whenever the active simple set may have changed *)
   (* Usage counters (monotonic over the table's lifetime; snapshot and diff
      for per-query numbers). Plain field bumps keep lookups cheap. *)
   mutable n_simple_lookups : int;
@@ -40,11 +47,14 @@ let simple_entry_bytes = 16
 let branching_entry_bytes = 8
 
 let create () =
-  { simple_all = Hashtbl.create 256; branching_all = Hashtbl.create 256;
-    simple_active = Hashtbl.create 256; branching_active = Hashtbl.create 256;
-    budget = None; n_simple_lookups = 0; n_simple_hits = 0;
-    n_branching_lookups = 0; n_branching_hits = 0; n_feedback_inserts = 0;
-    n_collisions = 0 }
+  let simple_all = Hashtbl.create 256 and branching_all = Hashtbl.create 256 in
+  { simple_all; branching_all; simple_active = simple_all;
+    branching_active = branching_all; budget = None; simple_generation = 0;
+    n_simple_lookups = 0; n_simple_hits = 0; n_branching_lookups = 0;
+    n_branching_hits = 0; n_feedback_inserts = 0; n_collisions = 0 }
+
+let simple_generation t = t.simple_generation
+let bump t = t.simple_generation <- t.simple_generation + 1
 
 let counters t =
   { simple_lookups = t.n_simple_lookups; simple_hits = t.n_simple_hits;
@@ -72,12 +82,13 @@ let publish_counters ?obs t =
    final table state does not depend on insertion order: inserting paths A
    then B under one hash leaves the same two bindings as B then A. *)
 
+(* A new hash, the common case, skips the filter and its closure. *)
 let bucket_put tbl hash path entry ~path_of =
-  let bucket =
-    match Hashtbl.find_opt tbl hash with Some b -> b | None -> []
-  in
-  let bucket = entry :: List.filter (fun e -> path_of e <> path) bucket in
-  Hashtbl.replace tbl hash bucket
+  match Hashtbl.find_opt tbl hash with
+  | None -> Hashtbl.add tbl hash [ entry ]
+  | Some bucket ->
+    Hashtbl.replace tbl hash
+      (entry :: List.filter (fun e -> path_of e <> path) bucket)
 
 let bucket_remove tbl hash path ~path_of =
   match Hashtbl.find_opt tbl hash with
@@ -122,16 +133,15 @@ let bucket_find t bucket path ~path_of =
 let spath e = e.spath
 let bpath e = e.bpath
 
+(* Unbudgeted, the shared table makes the entry active too. *)
 let add_simple ?path t ~hash ~card ~bsel ~error =
   let e = { card; sbsel = bsel; serror = error; spath = path } in
   bucket_put t.simple_all hash path e ~path_of:spath;
-  if t.budget = None then bucket_put t.simple_active hash path e ~path_of:spath
+  if Option.is_none t.budget then bump t
 
 let add_branching ?path t ~hash ~bsel ~error =
   let e = { bbsel = bsel; berror = error; bpath = path } in
-  bucket_put t.branching_all hash path e ~path_of:bpath;
-  if t.budget = None then
-    bucket_put t.branching_active hash path e ~path_of:bpath
+  bucket_put t.branching_all hash path e ~path_of:bpath
 
 (* All entries, largest error first; simple before branching on ties since a
    simple-path miss also poisons every estimate passing through it. *)
@@ -153,8 +163,9 @@ let ranked t =
 
 let set_budget t ~bytes =
   t.budget <- Some bytes;
-  Hashtbl.reset t.simple_active;
-  Hashtbl.reset t.branching_active;
+  bump t;
+  t.simple_active <- Hashtbl.create 256;
+  t.branching_active <- Hashtbl.create 256;
   let remaining = ref bytes in
   List.iter
     (fun (_, _, entry) ->
@@ -173,12 +184,9 @@ let set_budget t ~bytes =
 
 let unlimited_budget t =
   t.budget <- None;
-  Hashtbl.reset t.simple_active;
-  Hashtbl.reset t.branching_active;
-  Hashtbl.iter (fun h es -> Hashtbl.replace t.simple_active h es) t.simple_all;
-  Hashtbl.iter
-    (fun h es -> Hashtbl.replace t.branching_active h es)
-    t.branching_all
+  bump t;
+  t.simple_active <- t.simple_all;
+  t.branching_active <- t.branching_all
 
 let lookup_simple t ?path hash =
   t.n_simple_lookups <- t.n_simple_lookups + 1;
@@ -253,6 +261,7 @@ let evict_to_fit t ~bytes ~keep =
         ()  (* the new entry itself is the least useful: keep it *)
       | Some (`S (h, p), _) ->
         bucket_remove t.simple_active h p ~path_of:spath;
+        bump t;
         evict ()
       | Some (`B (h, p), _) ->
         bucket_remove t.branching_active h p ~path_of:bpath;
@@ -265,7 +274,8 @@ let record_branching_feedback ?path t ~hash ~bsel ~error =
   t.n_feedback_inserts <- t.n_feedback_inserts + 1;
   let e = { bbsel = bsel; berror = error; bpath = path } in
   bucket_put t.branching_all hash path e ~path_of:bpath;
-  bucket_put t.branching_active hash path e ~path_of:bpath;
+  if t.branching_active != t.branching_all then
+    bucket_put t.branching_active hash path e ~path_of:bpath;
   match t.budget with
   | None -> ()
   | Some bytes -> evict_to_fit t ~bytes ~keep:(`B (hash, path))
@@ -274,7 +284,9 @@ let record_feedback t ~hash ?path ~card ?bsel ~error () =
   t.n_feedback_inserts <- t.n_feedback_inserts + 1;
   let e = { card; sbsel = bsel; serror = error; spath = path } in
   bucket_put t.simple_all hash path e ~path_of:spath;
-  bucket_put t.simple_active hash path e ~path_of:spath;
+  if t.simple_active != t.simple_all then
+    bucket_put t.simple_active hash path e ~path_of:spath;
+  bump t;
   match t.budget with
   | None -> ()
   | Some bytes -> evict_to_fit t ~bytes ~keep:(`S (hash, path))
@@ -326,63 +338,228 @@ let to_string t =
     branches;
   Buffer.contents buf
 
+(* The reader: one pass over the text by index. A line is trimmed and
+   split on single spaces exactly as [String.trim] and
+   [String.split_on_char ' '] would, but fields stay offsets into the
+   text; only a retained path is copied out. *)
+
+type line = {
+  text : string;
+  mutable no : int;  (* 0-based line index *)
+  mutable first : int;  (* trimmed bounds *)
+  mutable last : int;
+  mutable fields : int;
+  starts : int array;
+  stops : int array;
+}
+
+let max_fields = 6
+
+let malformed l =
+  Error.raisef ~position:(l.no + 1) ~section:"het" Error.Corrupt_synopsis
+    "bad HET line: %s"
+    (String.sub l.text l.first (l.last - l.first))
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let add_field l a b =
+  if l.fields < max_fields then begin
+    l.starts.(l.fields) <- a;
+    l.stops.(l.fields) <- b
+  end;
+  l.fields <- l.fields + 1
+
+(* Trim [a, b) and split what is left on ' '. *)
+let trim_split l a b =
+  let s = l.text in
+  let a = ref a and b = ref b in
+  while !a < !b && is_space (String.unsafe_get s !a) do incr a done;
+  while !b > !a && is_space (String.unsafe_get s (!b - 1)) do decr b done;
+  l.first <- !a;
+  l.last <- !b;
+  l.fields <- 0;
+  if !a < !b then begin
+    let start = ref !a in
+    for k = !a to !b - 1 do
+      if String.unsafe_get s k = ' ' then begin
+        add_field l !start k;
+        start := k + 1
+      end
+    done;
+    add_field l !start !b
+  end
+
+(* Split the line that starts at [pos] into [l]'s fields and return its
+   end (its '\n', or the end of the text): one scan, plus a second one
+   only for a line with blanks to trim. *)
+let split l pos =
+  let s = l.text in
+  let n = String.length s in
+  l.fields <- 0;
+  let start = ref pos and k = ref pos in
+  while !k < n && String.unsafe_get s !k <> '\n' do
+    if String.unsafe_get s !k = ' ' then begin
+      add_field l !start !k;
+      start := !k + 1
+    end;
+    incr k
+  done;
+  let eol = !k in
+  if eol > pos
+     && (is_space (String.unsafe_get s pos)
+        || is_space (String.unsafe_get s (eol - 1)))
+  then trim_split l pos eol
+  else begin
+    l.first <- pos;
+    l.last <- eol;
+    if eol > pos then add_field l !start eol
+  end;
+  eol
+
+let field_is l i word =
+  let a = l.starts.(i) and n = String.length word in
+  l.stops.(i) - a = n
+  &&
+  let k = ref 0 in
+  while !k < n && String.unsafe_get l.text (a + !k) = String.unsafe_get word !k do
+    incr k
+  done;
+  !k = n
+
+let int_slow l a b =
+  match int_of_string_opt (String.sub l.text a (b - a)) with
+  | Some v -> v
+  | None -> malformed l
+
+(* Fast path: an optional '-' and 1 to 18 decimal digits, which always fit
+   in an OCaml int. Any other spelling [int_of_string] accepts (sign '+',
+   base prefixes, '_', longer runs) takes the slow path. *)
+let int_field l i =
+  let s = l.text and a = l.starts.(i) and b = l.stops.(i) in
+  let d = if a < b && String.unsafe_get s a = '-' then a + 1 else a in
+  let v = ref 0 and k = ref d in
+  while
+    !k < b && !k - d < 18
+    && match String.unsafe_get s !k with '0' .. '9' -> true | _ -> false
+  do
+    v := (10 * !v) + Char.code (String.unsafe_get s !k) - Char.code '0';
+    incr k
+  done;
+  if !k = b && b > d then if d > a then - !v else !v else int_slow l a b
+
+let float_slow l a b =
+  match float_of_string_opt (String.sub l.text a (b - a)) with
+  | Some x -> x
+  | None -> malformed l
+
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | _ -> -1
+
+(* Fast path for the spellings [%h] writes for a finite float:
+   [-?0x1(.h{1,13})?p[+-]d+] with a normal exponent, and [0x0...] for
+   zero and subnormals. The value is the mantissa (at most 53 bits, so
+   exact as a float) scaled by [ldexp], which is exact in that range and
+   equals what [float_of_string] returns. Anything else takes the slow
+   path. *)
+let float_field l i =
+  let s = l.text and a = l.starts.(i) and b = l.stops.(i) in
+  let neg = a < b && String.unsafe_get s a = '-' in
+  let p = if neg then a + 1 else a in
+  if
+    p + 6 <= b
+    && String.unsafe_get s p = '0'
+    && String.unsafe_get s (p + 1) = 'x'
+    && (String.unsafe_get s (p + 2) = '0' || String.unsafe_get s (p + 2) = '1')
+  then begin
+    let lead = Char.code (String.unsafe_get s (p + 2)) - Char.code '0' in
+    let m = ref lead and k = ref (p + 3) and digits = ref 0 in
+    if String.unsafe_get s !k = '.' then begin
+      incr k;
+      while !k < b && !digits < 13 && hex_digit (String.unsafe_get s !k) >= 0 do
+        m := (!m lsl 4) lor hex_digit (String.unsafe_get s !k);
+        incr digits;
+        incr k
+      done
+    end;
+    let m = !m lsl (4 * (13 - !digits)) in
+    let frac_ok = !digits > 0 || !k = p + 3 in
+    if frac_ok && !k + 2 < b && String.unsafe_get s !k = 'p' then begin
+      let esign = String.unsafe_get s (!k + 1) in
+      let e = ref 0 and j = ref (!k + 2) in
+      while
+        !j < b && !j - !k < 6
+        && match String.unsafe_get s !j with '0' .. '9' -> true | _ -> false
+      do
+        e := (10 * !e) + Char.code (String.unsafe_get s !j) - Char.code '0';
+        incr j
+      done;
+      let e = if esign = '-' then - !e else !e in
+      let exact =
+        !j = b
+        && (esign = '+' || esign = '-')
+        && if lead = 1 then e >= -1022 && e <= 1023 else m = 0 || e = -1022
+      in
+      if exact then
+        let x = Float.ldexp (float_of_int m) (e - 52) in
+        if neg then -.x else x
+      else float_slow l a b
+    end
+    else float_slow l a b
+  end
+  else float_slow l a b
+
+(* Non-finite statistics are rejected outright: a NaN selectivity would
+   silently poison every estimate that touches the entry. *)
+let finite_field l i =
+  let x = float_field l i in
+  if Float.is_finite x then x else malformed l
+
+let clamp01 x = Float.max 0.0 (Float.min 1.0 x)
+
+let path_field l i =
+  if i >= l.fields || field_is l i "-" then None
+  else Some (String.sub l.text l.starts.(i) (l.stops.(i) - l.starts.(i)))
+
+let read_line t budget l =
+  if l.fields = 0 then ()
+  else if field_is l 0 "simple" && (l.fields = 5 || l.fields = 6) then begin
+    let hash = int_field l 1 and card = int_field l 2 in
+    let error = finite_field l 4 in
+    let bsel =
+      if field_is l 3 "-" then None else Some (clamp01 (finite_field l 3))
+    in
+    add_simple t ~hash ?path:(path_field l 5) ~card:(max 0 card) ~bsel ~error
+  end
+  else if field_is l 0 "branching" && (l.fields = 4 || l.fields = 5) then begin
+    let hash = int_field l 1 in
+    let bsel = clamp01 (finite_field l 2) and error = finite_field l 3 in
+    add_branching t ~hash ?path:(path_field l 4) ~bsel ~error
+  end
+  else if field_is l 0 "budget" && l.fields = 2 then budget := Some (int_field l 1)
+  else if
+    l.no = 0 && l.fields = 2
+    && field_is l 0 "xseed-het"
+    && (field_is l 1 "v1" || field_is l 1 "v2")
+  then ()
+  else malformed l
+
 let of_string_result s =
   Error.guard (fun () ->
-      let t = create () in
-      let budget = ref None in
-      let malformed i line =
-        Error.raisef ~position:(i + 1) ~section:"het" Error.Corrupt_synopsis
-          "bad HET line: %s" (String.trim line)
+      let t = create () and budget = ref None in
+      let l =
+        { text = s; no = 0; first = 0; last = 0; fields = 0;
+          starts = Array.make max_fields 0; stops = Array.make max_fields 0 }
       in
-      (* Reject non-finite statistics outright: a NaN selectivity would
-         silently poison every estimate that touches the entry. *)
-      let finite i line x = if Float.is_finite x then x else malformed i line in
-      let clamp01 x = Float.max 0.0 (Float.min 1.0 x) in
-      let opt_path = function "-" -> None | p -> Some p in
-      List.iteri
-        (fun i line ->
-          let simple h card bsel error path =
-            match
-              (int_of_string_opt h, int_of_string_opt card,
-               float_of_string_opt error)
-            with
-            | Some h, Some card, Some error ->
-              let error = finite i line error in
-              let bsel =
-                if bsel = "-" then None
-                else
-                  match float_of_string_opt bsel with
-                  | Some b -> Some (clamp01 (finite i line b))
-                  | None -> malformed i line
-              in
-              add_simple t ~hash:h ?path ~card:(max 0 card) ~bsel ~error
-            | _ -> malformed i line
-          in
-          let branching h bsel error path =
-            match
-              (int_of_string_opt h, float_of_string_opt bsel,
-               float_of_string_opt error)
-            with
-            | Some h, Some bsel, Some error ->
-              add_branching t ~hash:h ?path ~bsel:(clamp01 (finite i line bsel))
-                ~error:(finite i line error)
-            | _ -> malformed i line
-          in
-          match String.split_on_char ' ' (String.trim line) with
-          | [ "" ] -> ()
-          | [ "xseed-het"; ("v1" | "v2") ] when i = 0 -> ()
-          | [ "budget"; b ] ->
-            (match int_of_string_opt b with
-             | Some b -> budget := Some b
-             | None -> malformed i line)
-          | [ "simple"; h; card; bsel; error ] -> simple h card bsel error None
-          | [ "simple"; h; card; bsel; error; path ] ->
-            simple h card bsel error (opt_path path)
-          | [ "branching"; h; bsel; error ] -> branching h bsel error None
-          | [ "branching"; h; bsel; error; path ] ->
-            branching h bsel error (opt_path path)
-          | _ -> malformed i line)
-        (String.split_on_char '\n' s);
+      let pos = ref 0 in
+      while !pos <= String.length s do
+        let eol = split l !pos in
+        read_line t budget l;
+        l.no <- l.no + 1;
+        pos := eol + 1
+      done;
       (match !budget with Some b -> set_budget t ~bytes:b | None -> ());
       t)
 

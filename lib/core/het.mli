@@ -20,7 +20,18 @@
     Mirroring the paper's management scheme, the full table (ordered by
     estimation error, the "secondary storage" copy) is always retained;
     {!set_budget} chooses the top-k entries that fit the in-memory budget
-    and only those answer lookups. *)
+    and only those answer lookups.
+
+    {b Shared tables.} While no budget is set every entry is active, so
+    the active sets {e are} the full tables (physically the same hash
+    tables): an insert lands once. {!set_budget} gives the active sets
+    tables of their own; {!unlimited_budget} shares them again.
+
+    {b Simple generation.} {!simple_generation} counts changes to the
+    active simple set, the only part of the table the traveler reads
+    when it materializes an EPT. A serving layer that records the value
+    its EPT was built at can keep that EPT across refinements that only
+    touched branching entries. *)
 
 type t
 
@@ -41,6 +52,14 @@ val set_budget : t -> bytes:int -> unit
 
 val unlimited_budget : t -> unit
 (** Activate every entry. This is the state after construction. *)
+
+val simple_generation : t -> int
+(** A counter bumped whenever the active simple set may have changed: an
+    {!add_simple} while unbudgeted, every {!record_feedback}, every
+    {!set_budget} / {!unlimited_budget}, and each simple entry a
+    budgeted feedback insert evicts. Branching inserts never bump it,
+    unless their eviction drops a simple entry. An EPT built at one value
+    is identical to one built at any later moment the value is unchanged. *)
 
 val lookup_simple : t -> ?path:string -> int -> (int * float option) option
 (** [(actual cardinality, actual bsel)] for an active simple entry. With
@@ -113,6 +132,11 @@ val of_string_result : string -> (t, Error.t) result
     dump is a [Corrupt_synopsis] error whose [position] is the 1-based line
     number. Non-finite statistics are rejected and selectivities are
     clamped into [0, 1], so a loaded table can never inject a NaN into an
-    estimate. *)
+    estimate.
+
+    One pass by index: fields are offsets into the text, decimal ints and
+    the exact [%h] spellings {!to_string} writes decode in place (other
+    spellings fall back to [int_of_string_opt] / [float_of_string_opt]),
+    and only retained paths are copied. *)
 
 val pp : Format.formatter -> t -> unit

@@ -88,12 +88,20 @@ let invalidate t =
   Lru_cache.clear t.cache;
   (shared t).Shard.ept <- None
 
+(* After a refinement: every cached outcome goes, the EPT only if the
+   refinement changed what the traveler reads. *)
+let refresh t () =
+  Lru_cache.clear t.cache;
+  Shard.refresh_ept ~eager:false (shared t)
+
+let shared_ept t = Shard.built_ept (shared t)
+
 (* Completed shadow audits fold back in on the serving thread, so the
    drift window and the flight ring keep a single writer. Runs before
    every estimate, hence the cheap check first. *)
 let drain_audits t =
   if Option.is_some (auditor t) then
-    Shard.drain_audits ~refresh:(fun () -> invalidate t) t.shard
+    Shard.drain_audits ~refresh:(refresh t) t.shard
 
 let trace_slice t name t0 =
   match t.tracing with
@@ -126,7 +134,7 @@ let feedback_ast t ast ~actual =
   Fun.protect ~finally:(fun () -> trace_slice t (fun tg -> tg.n_feedback) t0)
   @@ fun () ->
   drain_audits t;
-  Shard.feedback ~enqueued_at:t0 ~refresh:(fun () -> invalidate t) t.shard ast
+  Shard.feedback ~enqueued_at:t0 ~refresh:(refresh t) t.shard ast
     ~actual
 
 let feedback t query ~actual =

@@ -85,9 +85,15 @@ val feedback_ast : t -> Xpath.Ast.t -> actual:int -> (served * Feedback.outcome,
 
 val invalidate : t -> unit
 (** Drop the cached EPT and every cached estimate (counted as
-    invalidations). Called automatically when feedback refines the HET —
-    a refreshed entry can affect any estimate that touched its path, so the
-    engine conservatively assumes all of them did. *)
+    invalidations), e.g. for a cold-cache benchmark pass. *)
+
+val shared_ept : t -> Core.Matcher.ept option
+(** The EPT every cache miss reads; [None] until the next miss builds it.
+    When feedback refines the HET, every cached estimate is dropped (a
+    refreshed entry can affect any estimate that touched its path, so the
+    engine conservatively assumes all of them did), but this EPT is kept
+    when only branching entries changed: the traveler reads simple
+    entries alone ({!Core.Het.simple_generation}). *)
 
 val explain : t -> string -> (Core.Explain.report, Core.Error.t) result
 (** {!Core.Explain.run} through the engine: the report's [cache] field says

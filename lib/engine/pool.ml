@@ -504,7 +504,7 @@ let create ?(workers = 2) ?(qerror_threshold = 2.0) ?(cache_capacity = 1024)
     Shard.shared ?auditor ~threshold:qerror_threshold ~deadline_s ~drift
       estimator
   in
-  shared.Shard.ept <- Some (Shard.materialize_ept estimator);
+  ignore (Shard.build_ept shared : (Core.Matcher.ept, Core.Error.t) result);
   let recorder () =
     if telemetry then
       Some (Flight_recorder.create ~capacity:recorder_capacity ())
@@ -847,11 +847,14 @@ let next_seq_locked t =
   t.next_seq <- seq + 1;
   seq
 
-(* Rebuild eagerly while drained; workers drop their caches when they
-   observe the new epoch at their next dequeue. *)
+(* Rebuild eagerly while drained, unless the refinement left the EPT
+   current; workers drop their caches when they observe the new epoch at
+   their next dequeue. *)
 let refresh t () =
-  t.shared.Shard.ept <- Some (Shard.materialize_ept t.shared.Shard.base);
+  Shard.refresh_ept ~eager:true t.shared;
   Atomic.incr t.epoch
+
+let shared_ept t = Shard.built_ept t.shared
 
 (* Run a single-writer verb: stop submissions, drain the workers, and only
    then touch the shared HET/EPT, the drift window or the coordinator ring.

@@ -193,8 +193,8 @@ val feedback : t -> string -> actual:int -> (Feedback.outcome, Core.Error.t) res
     the judged estimate is recomputed without a cache (a [Bypass] flight
     record, refused like any miss once [deadline_s] has run out since the
     drained coordinator took it up), and the HET is refined when the q-error reaches the
-    threshold. Refinements rebuild the shared EPT and bump {!epoch} before
-    submissions resume. *)
+    threshold. Refinements bump {!epoch} before submissions resume, and
+    rebuild the shared EPT unless they changed only branching entries. *)
 
 val explain : t -> string -> (Core.Explain.report, Core.Error.t) result
 (** Full-pipeline explain, run drained on the base estimator. The cache
@@ -214,6 +214,12 @@ val profile :
 val invalidate : t -> unit
 (** Bump {!epoch} without touching the synopsis, dropping every shard's
     cache at its next dequeue — cold-cache benchmark passes. *)
+
+val shared_ept : t -> Core.Matcher.ept option
+(** The EPT every worker reads ([None] only when materializing it failed).
+    A refining FEEDBACK rebuilds it while the workers are drained, unless
+    only branching HET entries changed
+    ({!Core.Het.simple_generation}). *)
 
 val stats_json : t -> Obs.Json.t
 (** Engine stats with cache counters summed across shards, plus a

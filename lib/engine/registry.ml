@@ -47,6 +47,8 @@ type t = {
   audit_feedback : bool;
   scrape : Scrape_meter.t;
   obs : Obs.t;  (* registry-level series; tenant registries live per tenant *)
+  page_in_us : Obs.histogram;  (* in [obs]: each successful page-in *)
+  replay_us : Obs.histogram;  (* in [obs]: its journal replay *)
 }
 
 let create ?memory_budget ?het_budget ?(qerror_threshold = 2.0)
@@ -63,6 +65,7 @@ let create ?memory_budget ?het_budget ?(qerror_threshold = 2.0)
    | _ -> ());
   if not (Float.is_finite audit_rate) || audit_rate < 0.0 || audit_rate > 1.0
   then invalid_arg "Registry.create: audit_rate must be within [0, 1]";
+  let obs = Obs.create () in
   { mutex = Mutex.create ();
     table = Hashtbl.create 16;
     tick = 0;
@@ -82,7 +85,9 @@ let create ?memory_budget ?het_budget ?(qerror_threshold = 2.0)
     audit_seed;
     audit_feedback;
     scrape = Scrape_meter.create ();
-    obs = Obs.create () }
+    obs;
+    page_in_us = Obs.histogram obs "registry.page_in_us";
+    replay_us = Obs.histogram obs "registry.replay_us" }
 
 (* Tenant names travel inside protocol lines (space-separated) and become
    journal file names, so the alphabet is deliberately narrow. *)
@@ -246,7 +251,9 @@ let tenant_server_of tenant ~journal base =
         | Ok p -> Ok { p with Serve.tenant = Some tenant.name }
         | Error e -> Error e) }
 
-let page_in_locked t tenant =
+let observe_us h t0 = Obs.hobserve h (1e6 *. (Obs.now_mono () -. t0))
+
+let load_locked t tenant =
   match Core.Error.read_file tenant.path with
   | Error e -> Error e
   | Ok contents ->
@@ -309,6 +316,7 @@ let page_in_locked t tenant =
                  (* Replay the journal through the live feedback path: the
                     learned HET/feedback state of the evicted (or crashed)
                     tenant is reproduced before the first request. *)
+                 let t0 = Obs.now_mono () in
                  List.iter
                    (fun (e : Journal.entry) ->
                      match
@@ -316,6 +324,7 @@ let page_in_locked t tenant =
                      with
                      | Ok _ | Error _ -> ())
                    scan.Journal.entries;
+                 observe_us t.replay_us t0;
                  t.journal_replayed <-
                    t.journal_replayed + scan.Journal.frames;
                  (match Journal.open_append ~fsync:t.journal_fsync path with
@@ -332,6 +341,14 @@ let page_in_locked t tenant =
              t.page_ins_total <- t.page_ins_total + 1;
              t.resident_bytes <- t.resident_bytes + bytes;
              Ok ())))
+
+(* A page-in is timed end to end: read, checksum and parse the synopsis,
+   build the engine, replay the journal. *)
+let page_in_locked t tenant =
+  let t0 = Obs.now_mono () in
+  let r = load_locked t tenant in
+  if Result.is_ok r then observe_us t.page_in_us t0;
+  r
 
 let find_locked t name =
   match Hashtbl.find_opt t.table name with
@@ -432,6 +449,13 @@ let metrics_text t =
       Scrape_meter.note t.scrape (Obs.now_mono () -. t0);
       text)
 
+(* [null] percentiles while the histogram is empty. *)
+let percentiles h =
+  Obs.Json.Obj
+    [ ("count", Obs.Json.Int (Obs.hcount h));
+      ("p50", Obs.Json.Float (Obs.hpercentile h 0.5));
+      ("p90", Obs.Json.Float (Obs.hpercentile h 0.9)) ]
+
 let stats_locked t =
   publish_locked t;
   let tenants =
@@ -459,6 +483,8 @@ let stats_locked t =
       ("evictions", Obs.Json.Int t.evictions);
       ("page_ins", Obs.Json.Int t.page_ins_total);
       ("journal_replayed", Obs.Json.Int t.journal_replayed);
+      ("page_in_us", percentiles t.page_in_us);
+      ("replay_us", percentiles t.replay_us);
       ("tenants", Obs.Json.Obj tenants) ]
 
 let stats_json t = Mutex.protect t.mutex (fun () -> stats_locked t)

@@ -129,10 +129,16 @@ val metrics_text : t -> string
     [registry.tenants.registered]/[.resident] and [registry.bytes.resident]/
     [.budget] gauges ([budget] reads 0 when unlimited), and the
     [registry.evictions]/[registry.page_ins]/[registry.journal.replayed]
-    counters. Deterministic: series sorted by key, idempotent publishes. *)
+    counters, and the [registry.page_in_us] / [registry.replay_us]
+    histograms: the wall time of each successful page-in (read, checksum
+    and parse the synopsis, build the engine, replay the journal) and of
+    its journal replay alone. Deterministic: series sorted by key,
+    idempotent publishes. *)
 
 val stats_json : t -> Obs.Json.t
-(** One object: the gauge/counter values above plus a ["tenants"] object
+(** One object: the gauge/counter values above, ["page_in_us"] and
+    ["replay_us"] objects ([count], [p50], [p90]; the percentiles are
+    [null] before the first observation), plus a ["tenants"] object
     mapping each name to its resident size or [null]. *)
 
 val close : t -> unit

@@ -5,6 +5,7 @@ type shared = {
   drift : Drift.t option;
   drift_obs : Obs.t option;
   mutable ept : (Core.Matcher.ept, Core.Error.t) result option;
+  mutable ept_generation : int;
   mutable feedback_seen : int;
   mutable feedback_rounds : int;
   timeouts : int Atomic.t;
@@ -19,6 +20,7 @@ let shared ?drift_obs ?auditor ~threshold ~deadline_s ~drift base =
     drift;
     drift_obs;
     ept = None;
+    ept_generation = 0;
     feedback_seen = 0;
     feedback_rounds = 0;
     timeouts = Atomic.make 0;
@@ -73,17 +75,30 @@ let guard_ept f =
 
 let materialize_ept estimator = guard_ept (fun () -> Core.Estimator.ept estimator)
 
+let het_generation s =
+  match Core.Estimator.het s.base with
+  | Some het -> Core.Het.simple_generation het
+  | None -> 0
+
+let build_ept s =
+  let r = materialize_ept s.base in
+  s.ept <- Some r;
+  s.ept_generation <- het_generation s;
+  r
+
+(* The traveler reads only the active simple HET entries, so an EPT built
+   at the current simple generation is the EPT a rebuild would produce:
+   a branching-only refinement keeps it. *)
+let refresh_ept ~eager s =
+  if Option.is_some s.ept && het_generation s <> s.ept_generation then
+    if eager then ignore (build_ept s) else s.ept <- None
+
+let built_ept s = match s.ept with Some (Ok e) -> Some e | _ -> None
+
 (* Forced inside the estimator's error guard, so a failed build surfaces
    as the same typed error on every miss until the EPT is refreshed. *)
 let shared_ept s =
-  let r =
-    match s.ept with
-    | Some r -> r
-    | None ->
-      let r = materialize_ept s.base in
-      s.ept <- Some r;
-      r
-  in
+  let r = match s.ept with Some r -> r | None -> build_ept s in
   match r with Ok e -> e | Error err -> raise (Core.Error.Xseed err)
 
 let timeout_error () =
@@ -244,7 +259,7 @@ let observe s ~estimate ~actual =
 
 (* The one feedback judge, shared by FEEDBACK and the audit fold. *)
 let judge s ~refresh ast ~estimate ~actual =
-  let ept = match s.ept with Some (Ok e) -> Some e | _ -> None in
+  let ept = built_ept s in
   let fb =
     Feedback.apply ?ept ~threshold:s.threshold s.base ast ~estimate ~actual
   in

@@ -27,6 +27,8 @@ type shared = {
   mutable ept : (Core.Matcher.ept, Core.Error.t) result option;
       (** the shared EPT; [None] until first needed (the engine builds it
           lazily, the pool eagerly) *)
+  mutable ept_generation : int;
+      (** the HET's {!Core.Het.simple_generation} when [ept] was built *)
   mutable feedback_seen : int;
   mutable feedback_rounds : int;
   timeouts : int Atomic.t;  (** requests refused at a deadline *)
@@ -84,8 +86,18 @@ val create :
 val parse : string -> (Xpath.Ast.t, Core.Error.t) result
 (** A syntax error is [Malformed_query]. *)
 
-val materialize_ept : Core.Estimator.t -> (Core.Matcher.ept, Core.Error.t) result
-(** An oversized EPT is [Limit_exceeded]. *)
+val build_ept : shared -> (Core.Matcher.ept, Core.Error.t) result
+(** Materialize [shared.ept] now (an oversized EPT is
+    [Limit_exceeded]) and record the HET generation it reflects. *)
+
+val built_ept : shared -> Core.Matcher.ept option
+(** [shared.ept] when it holds a built EPT. *)
+
+val refresh_ept : eager:bool -> shared -> unit
+(** The EPT half of a post-refinement refresh. A built EPT is kept when
+    the HET's active simple set has not changed since it was built (the
+    traveler reads nothing else, so a rebuild would produce the same
+    tree); otherwise it is dropped, or rebuilt at once when [eager]. *)
 
 val timeout_error : unit -> Core.Error.t
 
@@ -138,7 +150,8 @@ val feedback :
   (served * Feedback.outcome, Core.Error.t) result
 (** Serve the query through {!estimate}, count the observation, feed the
     drift window and judge the served estimate. [refresh] runs after a
-    refinement; it must drop every cached outcome and the stale EPT. *)
+    refinement; it must drop every cached outcome, and the EPT unless
+    {!refresh_ept} finds it current. *)
 
 val drain_audits :
   ?next_seq:(unit -> int) -> refresh:(unit -> unit) -> t -> unit
