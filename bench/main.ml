@@ -537,48 +537,144 @@ let values () =
 
 (* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)
-(* Parallel serving: pool batch throughput vs worker-domain count. Each
-   measured pass invalidates the shard caches first, so every query
-   exercises the matcher — the parallelizable work — rather than its
-   shard's LRU. *)
+(* Parallel serving: pool throughput vs worker count. The pool runs each
+   request on its caller's thread, so [w] workers are driven by [w]
+   concurrent caller domains, each answering its slice of one pass over
+   the workload. Each timed pass invalidates the shard caches first, so
+   every query exercises the matcher — the parallelizable work — rather
+   than its shard's LRU. *)
 
 let pool_worker_counts = [ 1; 2; 4 ]
+
+(* Linear interpolation between the two nearest ranks of a sorted array. *)
+let exact_percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else begin
+    let rank = p *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor rank) in
+    let hi = min (n - 1) (lo + 1) in
+    let frac = rank -. float_of_int lo in
+    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
+  end
 
 (* Detected once; both the interactive gate and the JSON dumps key their
    ≥ 2.5x@4 enforcement off this single reading. *)
 let host_cores = Domain.recommended_domain_count ()
 
-(* Returns (queries/s, steals, affinity_hits) so dispatch-shape sweeps can
-   attribute a regression to scheduling, not just observe throughput. *)
-let pool_throughput ?(passes = 3) ?chunk_target ?steal ?affinity estimator
-    queries ~workers =
-  let pool =
-    Engine.Pool.create ~workers ?chunk_target ?steal ~telemetry:false estimator
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  (* Warm-up pass: materializes the shared EPT outside the timed region. *)
-  ignore
-    (Engine.Pool.estimate_batch ?affinity pool queries
-      : (Engine.Serve.estimate_reply, Core.Error.t) result list);
-  let served = ref 0 in
-  let (), seconds =
-    time (fun () ->
-        for _ = 1 to passes do
-          Engine.Pool.invalidate pool;
-          let rs = Engine.Pool.estimate_batch ?affinity pool queries in
-          served := !served + List.length rs
-        done)
-  in
-  ( float_of_int !served /. seconds,
-    Engine.Pool.steals_total pool,
-    Engine.Pool.affinity_hits pool )
+(* A gang of caller domains parked on a condition, so timed passes do not
+   pay for spawning domains: [gang_run g job] has caller [i] run [job i]
+   and returns once every caller is done. *)
+type gang = {
+  g_lock : Mutex.t;
+  g_cond : Condition.t;
+  mutable g_gen : int;  (* bumped per job; callers run each generation once *)
+  mutable g_done : int;
+  mutable g_job : int -> unit;
+  mutable g_quit : bool;
+  mutable g_domains : unit Domain.t list;
+}
 
-(* The dispatch shapes the sweep compares at 4 domains: one queue op per
-   query, chunked without rebalancing, and the default chunked + steal. *)
-let chunk_sweep_legs =
-  [ ("per_item", Some 1, Some true);
-    ("chunked", None, Some false);
-    ("chunked_steal", None, None) ]
+let gang_create w =
+  let g =
+    { g_lock = Mutex.create (); g_cond = Condition.create (); g_gen = 0;
+      g_done = 0; g_job = ignore; g_quit = false; g_domains = [] }
+  in
+  let caller i () =
+    let rec loop seen =
+      Mutex.lock g.g_lock;
+      while g.g_gen = seen && not g.g_quit do
+        Condition.wait g.g_cond g.g_lock
+      done;
+      if g.g_quit then Mutex.unlock g.g_lock
+      else begin
+        let gen = g.g_gen and job = g.g_job in
+        Mutex.unlock g.g_lock;
+        job i;
+        Mutex.protect g.g_lock (fun () ->
+            g.g_done <- g.g_done + 1;
+            Condition.broadcast g.g_cond);
+        loop gen
+      end
+    in
+    loop 0
+  in
+  g.g_domains <- List.init w (fun i -> Domain.spawn (caller i));
+  g
+
+let gang_run g job =
+  let w = List.length g.g_domains in
+  Mutex.protect g.g_lock (fun () ->
+      g.g_job <- job;
+      g.g_done <- 0;
+      g.g_gen <- g.g_gen + 1;
+      Condition.broadcast g.g_cond;
+      while g.g_done < w do
+        Condition.wait g.g_cond g.g_lock
+      done)
+
+let gang_close g =
+  Mutex.protect g.g_lock (fun () ->
+      g.g_quit <- true;
+      Condition.broadcast g.g_cond);
+  List.iter Domain.join g.g_domains
+
+type scaling = { qps_median : float; qps_min : float; qps_max : float }
+
+(* Cold-cache pool throughput at every worker count, over [reps]
+   repetitions that alternate between the counts (1, 2, 4, 1, 2, 4, ...)
+   so host noise lands on all of them alike; median, min and max per
+   count. *)
+let pool_scaling ?(reps = 10) estimator queries =
+  let qs = Array.of_list queries in
+  let n = Array.length qs in
+  let legs =
+    List.map
+      (fun w ->
+        let pool = Engine.Pool.create ~workers:w ~telemetry:false estimator in
+        (* Warm-up pass: materializes the shared EPT outside the timing. *)
+        ignore
+          (Engine.Pool.estimate_batch pool queries
+            : (Engine.Serve.estimate_reply, Core.Error.t) result list);
+        let slices =
+          Array.init w (fun i ->
+              let lo = i * n / w and hi = (i + 1) * n / w in
+              Array.to_list (Array.sub qs lo (hi - lo)))
+        in
+        (w, pool, slices, gang_create w, ref []))
+      pool_worker_counts
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (_, pool, _, gang, _) ->
+          gang_close gang;
+          Engine.Pool.shutdown pool)
+        legs)
+  @@ fun () ->
+  for _ = 1 to reps do
+    List.iter
+      (fun (_, pool, slices, gang, samples) ->
+        Engine.Pool.invalidate pool;
+        let (), seconds =
+          time (fun () ->
+              gang_run gang (fun i ->
+                  ignore
+                    (Engine.Pool.estimate_batch pool slices.(i)
+                      : (Engine.Serve.estimate_reply, Core.Error.t) result list)))
+        in
+        samples := (float_of_int n /. seconds) :: !samples)
+      legs
+  done;
+  List.map
+    (fun (w, _, _, _, samples) ->
+      let a = Array.of_list !samples in
+      Array.sort compare a;
+      ( w,
+        { qps_median = exact_percentile a 0.5;
+          qps_min = a.(0);
+          qps_max = a.(Array.length a - 1) } ))
+    legs
 
 let pool_mismatches estimator queries =
   let engine = Engine.create ~telemetry:false estimator in
@@ -611,32 +707,16 @@ let parallel () =
     (List.length queries)
     (if mismatches = 0 then " (bit-identical)" else "  <- BUG");
   assert (mismatches = 0);
-  let passes = scale 2 4 in
-  let results =
-    List.map
-      (fun w ->
-        let qps, _, _ = pool_throughput ~passes estimator queries ~workers:w in
-        (w, qps))
-      pool_worker_counts
-  in
-  let qps1 = List.assoc 1 results in
-  pf "\n%8s %12s %9s\n" "workers" "queries/s" "speedup";
+  let results = pool_scaling estimator queries in
+  let base = (List.assoc 1 results).qps_median in
+  pf "\n%8s %12s %12s %12s %9s\n" "workers" "median q/s" "min q/s" "max q/s"
+    "speedup";
   List.iter
-    (fun (w, qps) -> pf "%8d %12.0f %8.2fx\n" w qps (qps /. qps1))
+    (fun (w, r) ->
+      pf "%8d %12.0f %12.0f %12.0f %8.2fx\n" w r.qps_median r.qps_min
+        r.qps_max (r.qps_median /. base))
     results;
-  (* Dispatch-shape sweep at 4 domains: how much of the scaling comes from
-     chunking, and how much stealing claws back on skewed deques. *)
-  pf "\n%-16s %12s %8s %14s\n" "dispatch @4" "queries/s" "steals"
-    "affinity_hits";
-  List.iter
-    (fun (leg, chunk_target, steal) ->
-      let qps, steals, hits =
-        pool_throughput ~passes ?chunk_target ?steal estimator queries
-          ~workers:4
-      in
-      pf "%-16s %12.0f %8d %14d\n" leg qps steals hits)
-    chunk_sweep_legs;
-  let speedup4 = List.assoc 4 results /. qps1 in
+  let speedup4 = (List.assoc 4 results).qps_median /. base in
   if host_cores >= 4 then begin
     pf "\n4-domain speedup %.2fx (gate: >= 2.5x on this %d-core host)\n"
       speedup4 host_cores;
@@ -765,17 +845,6 @@ let profile_section () =
    These are the files CI or a tracking dashboard would diff across
    commits; the schema is documented in README "Observability". *)
 
-let exact_percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else begin
-    let rank = p *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
-
 let bench_json () =
   header "JSON dumps: latency percentiles + accuracy (BENCH_*.json)";
   let gate_failures = ref [] in
@@ -831,17 +900,9 @@ let bench_json () =
                   ("q_error_max", Obs.Json.Float s.q_error_max) ] );
             ( "parallel",
               let qstrings = List.map Xpath.Ast.to_string queries in
-              let pqps =
-                List.map
-                  (fun w ->
-                    let qps, _, _ =
-                      pool_throughput ~passes:(scale 1 2) estimator qstrings
-                        ~workers:w
-                    in
-                    (w, qps))
-                  pool_worker_counts
-              in
-              let speedup = List.assoc 4 pqps /. List.assoc 1 pqps in
+              let results = pool_scaling estimator qstrings in
+              let median w = (List.assoc w results).qps_median in
+              let speedup = median 4 /. median 1 in
               (* The ≥ 2.5x@4 gate is host-count-conditional: enforced (and
                  recorded as passed/failed) wherever 4 domains fit real
                  cores, recorded as skipped everywhere else so CI can
@@ -856,37 +917,18 @@ let bench_json () =
                   "failed"
                 end
               in
-              (* Dispatch-shape sweep at 4 domains, with scheduling
-                 counters: affinity routes every chunk to one shard, so
-                 the steal path does the balancing and its counters are
-                 the attribution trail. *)
-              let sweep =
-                List.map
-                  (fun (leg, chunk_target, steal) ->
-                    let affinity =
-                      if leg = "chunked_steal" then Some 0 else None
-                    in
-                    ( leg,
-                      pool_throughput ~passes:(scale 1 2) ?chunk_target ?steal
-                        ?affinity estimator qstrings ~workers:4 ))
-                  chunk_sweep_legs
-              in
-              let _, steals, affinity_hits = List.assoc "chunked_steal" sweep in
               Obs.Json.Obj
                 (List.map
-                   (fun (w, qps) ->
-                     (Printf.sprintf "workers_%d" w, Obs.Json.Float qps))
-                   pqps
-                @ [ ("speedup_4v1", Obs.Json.Float speedup);
-                    ("gate", Obs.Json.String gate);
-                    ( "chunk_sweep",
-                      Obs.Json.Obj
-                        (List.map
-                           (fun (leg, (qps, _, _)) ->
-                             (leg, Obs.Json.Float qps))
-                           sweep) );
-                    ("steals", Obs.Json.Int steals);
-                    ("affinity_hits", Obs.Json.Int affinity_hits) ]) );
+                   (fun (w, r) ->
+                     ( Printf.sprintf "workers_%d" w,
+                       Obs.Json.Obj
+                         [ ("median", Obs.Json.Float r.qps_median);
+                           ("min", Obs.Json.Float r.qps_min);
+                           ("max", Obs.Json.Float r.qps_max) ] ))
+                   results
+                @ [ ("reps", Obs.Json.Int 10);
+                    ("speedup_4v1", Obs.Json.Float speedup);
+                    ("gate", Obs.Json.String gate) ]) );
             ( "profile",
               let qstrings = List.map Xpath.Ast.to_string queries in
               Obs.Json.Obj

@@ -437,10 +437,13 @@ let drift_p90_arg =
 let workers_arg =
   Arg.(value & opt int 1
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains. 1 (default) serves on a single engine; \
-                 N >= 2 shares the synopsis across an $(b,Engine.Pool) of \
-                 $(docv) domains with per-domain caches and single-writer \
-                 feedback")
+           ~doc:"Serving domains. 1 (default) serves on a single engine on \
+                 the main domain; N >= 2 shares the synopsis across the \
+                 $(docv) shards of an $(b,Engine.Pool) with per-shard caches \
+                 and single-writer feedback. With --port, $(docv) domains \
+                 each run their own accept/select loop and answer every \
+                 frame of the connections they accepted on their own \
+                 shard, so an estimate never changes domain")
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -453,14 +456,18 @@ let trace_out_arg =
 let queue_capacity_arg =
   Arg.(value & opt int 256
        & info [ "queue-capacity" ] ~docv:"N"
-           ~doc:"Admission-queue capacity of the worker pool (jobs); only \
-                 meaningful with --workers >= 2")
+           ~doc:"Admission capacity under --shed-policy shed-newest with \
+                 --workers >= 2: decoded-but-unstarted frames one serving \
+                 domain holds (TCP), or query slots waiting for a free \
+                 shard (stdin), before newer ones are refused ERR \
+                 overloaded")
 
 let deadline_ms_arg =
   Arg.(value & opt (some float) None
        & info [ "deadline-ms" ] ~docv:"MS"
            ~doc:"Per-request deadline in milliseconds, measured on the \
-                 monotonic clock from admission. A request that overruns it \
+                 monotonic clock from the request's arrival (on TCP, the \
+                 instant its frame was decoded). A request that overruns it \
                  answers ERR timeout instead of executing. 0 or absent \
                  disables deadlines")
 
@@ -468,9 +475,10 @@ let shed_policy_arg =
   Arg.(value
        & opt (enum [ ("block", `Block); ("shed-newest", `Shed_newest) ]) `Block
        & info [ "shed-policy" ] ~docv:"POLICY"
-           ~doc:"What a full admission queue does to new requests: 'block' \
-                 (default) applies backpressure, 'shed-newest' answers ERR \
-                 overloaded immediately")
+           ~doc:"What a full admission queue (see --queue-capacity) does \
+                 to new requests: 'block' (default) makes them wait their \
+                 turn, 'shed-newest' answers ERR overloaded without \
+                 executing them")
 
 let max_batch_arg =
   Arg.(value & opt int Engine.Serve.max_batch
@@ -735,46 +743,61 @@ let serve_cmd =
                 flush oc) )
     in
     let trace, write_trace = trace_of trace_out in
-    let requests = ref 0 in
-    (* SIGTERM/SIGINT may be delivered on any domain. Only the main domain
-       may unwind the serve loop by raising (interrupting the blocked
-       [input_line]); a worker domain just records the request, which the
-       main domain converts into a raise after the in-flight request. *)
+    let requests = Atomic.make 0 in
+    let snapshot_lock = Mutex.create () in
+    (* SIGTERM/SIGINT may be delivered on any domain. On the stdin
+       transport only the main domain may unwind the serve loop by raising
+       (interrupting the blocked [input_line]); another domain just records
+       the signal, which the main domain turns into a raise after the
+       request in flight. On TCP the handler asks every serving loop to
+       stop after its current round, so each domain answers what it read
+       and flushes before the journal, trace and telemetry are. *)
     let drain_pending = Atomic.make 0 in
     let main_domain = Domain.self () in
-    let install_signals () =
+    let install_signals srv =
       let handler signum =
-        if Domain.self () = main_domain then raise (Drain_signal signum)
-        else Atomic.set drain_pending signum
+        match srv with
+        | Some srv ->
+          Atomic.set drain_pending signum;
+          Net.Server.stop srv
+        | None ->
+          if Domain.self () = main_domain then raise (Drain_signal signum)
+          else Atomic.set drain_pending signum
       in
       List.iter
         (fun s -> Sys.set_signal s (Sys.Signal_handle handler))
         [ Sys.sigterm; Sys.sigint ]
     in
-    let on_request publish () =
-      (match Atomic.get drain_pending with
-       | 0 -> ()
-       | signum -> raise (Drain_signal signum));
-      incr requests;
+    (* Runs after every answered request, on whichever domain answered it. *)
+    let on_request ~drain publish () =
+      (match Atomic.get drain_pending with 0 -> () | signum -> drain signum);
+      let n = 1 + Atomic.fetch_and_add requests 1 in
       match snapshot_every with
-      | Some n when !requests mod n = 0 ->
-        publish ();
-        Obs.emit_snapshot obs
+      | Some every when n mod every = 0 ->
+        Mutex.protect snapshot_lock (fun () ->
+            publish ();
+            Obs.emit_snapshot obs)
       | _ -> ()
     in
     let drained = ref None in
     let journal = ref None in
     (* One transport switch for every mode: without --port the classic
-       stdin/stdout line protocol, with it the framed TCP loop. The TCP
-       server makes a session per connection; stdin is one session. *)
-    let run_transport ~make_session publish =
-      install_signals ();
+       stdin/stdout line protocol, with it the framed TCP loops, one per
+       serving domain. [make_session srv ~domain] mints a session: per
+       connection on TCP (bound to the accepting loop's domain), once for
+       stdin ([srv] = None). *)
+    let run_transport ~domains ~make_session publish =
       match port with
       | None ->
-        let server, extra = make_session () in
+        install_signals None;
+        let server, extra = make_session None ~domain:0 in
         (try
-           Engine.Serve.run ~on_request:(on_request publish) ~max_batch ~extra
-             server stdin stdout
+           Engine.Serve.run
+             ~on_request:
+               (on_request
+                  ~drain:(fun signum -> raise (Drain_signal signum))
+                  publish)
+             ~max_batch ~extra server stdin stdout
          with Drain_signal signum -> drained := Some signum)
       | Some p ->
         let srv =
@@ -786,26 +809,34 @@ let serve_cmd =
                  max_connections = max_conns;
                  idle_timeout_s;
                  max_frame_bytes = max_frame;
+                 queue_capacity =
+                   (match shed_policy with
+                    | `Shed_newest when domains > 1 -> Some queue_capacity
+                    | `Shed_newest | `Block -> None);
                })
         in
+        install_signals (Some srv);
         (* The smoke scripts grep this line for the ephemeral port. *)
         Format.eprintf "xseed serve: listening on %s:%d@." host
           (Net.Server.port srv);
-        (try
-           Net.Server.run ~on_request:(on_request publish) ~max_batch srv
-             ~make_session ()
-         with Drain_signal signum -> drained := Some signum)
+        Net.Server.run ~domains
+          ~on_request:
+            (on_request ~drain:(fun _ -> Net.Server.stop srv) publish)
+          ~max_batch srv
+          ~make_session:(make_session (Some srv))
+          ();
+        (match Atomic.get drain_pending with
+         | 0 -> ()
+         | signum -> drained := Some signum)
     in
     let no_extra _ _ = None in
     (* Journal startup: recover (truncating a dirty tail), replay the
        surviving entries through the live feedback path so the learned HET
-       state matches the pre-crash engine, then append from here on.
-       Recovery runs once against [base_server]; the returned wrapper is
-       applied to every session's vtable (the pool mints one per TCP
-       connection for affinity routing), all appending to one writer. *)
-    let journal_wrap base_server =
+       state matches the pre-crash engine, then open the journal for
+       appending from here on. *)
+    let open_journal feedback =
       match journal_path with
-      | None -> fun s -> s
+      | None -> None
       | Some path ->
         let scan = ok_or_raise (Engine.Journal.recover path) in
         (match scan.Engine.Journal.tail with
@@ -824,8 +855,7 @@ let serve_cmd =
         List.iter
           (fun (e : Engine.Journal.entry) ->
             match
-              base_server.Engine.Serve.feedback e.Engine.Journal.query
-                ~actual:e.Engine.Journal.actual
+              feedback e.Engine.Journal.query ~actual:e.Engine.Journal.actual
             with
             | Ok _ -> ()
             | Error _ -> incr failed)
@@ -838,9 +868,8 @@ let serve_cmd =
              else Printf.sprintf " (%d failed to apply)" !failed);
         let w = ok_or_raise (Engine.Journal.open_append ~fsync path) in
         journal := Some w;
-        fun s -> Engine.Journal.wrap_server w s
+        Some w
     in
-    let with_journal base_server = journal_wrap base_server base_server in
     (match manifest with
      | Some manifest_path ->
        let reg =
@@ -861,8 +890,8 @@ let serve_cmd =
        Fun.protect
          ~finally:(fun () -> Engine.Registry.close reg)
          (fun () ->
-           run_transport
-             ~make_session:(fun () ->
+           run_transport ~domains:1
+             ~make_session:(fun _ ~domain:_ ->
                let s = Engine.Registry.session reg in
                (Engine.Registry.server s, Engine.Registry.extra s))
              (fun () -> ()))
@@ -896,9 +925,14 @@ let serve_cmd =
          in
          Option.iter (Engine.set_auditor engine) auditor;
          set_on_record (Engine.set_on_record engine);
-         let server = with_journal (Engine.server engine) in
-         run_transport
-           ~make_session:(fun () -> (server, no_extra))
+         let server = Engine.server engine in
+         let server =
+           match open_journal server.Engine.Serve.feedback with
+           | None -> server
+           | Some w -> Engine.Journal.wrap_server w server
+         in
+         run_transport ~domains:1
+           ~make_session:(fun _ ~domain:_ -> (server, no_extra))
            (fun () -> Engine.publish_telemetry engine);
          (* Drain: let in-flight audits finish and fold them into the
             final telemetry snapshot before the registry is flushed. *)
@@ -917,33 +951,35 @@ let serve_cmd =
              ~shed_policy ?auditor estimator
          in
          set_on_record (Engine.Pool.set_on_record pool);
-         (* Journal recovery replays once through a no-affinity vtable;
-            each TCP connection then gets its own vtable with the
-            connection counter as affinity token, so a session's chunks
-            keep landing on the shard whose cache it has warmed (stdin is
-            a single session — plain round-robin planning serves it
-            better than pinning one shard). *)
-         let wrap = journal_wrap (Engine.Pool.server pool) in
-         let base_server = wrap (Engine.Pool.server pool) in
-         let next_conn = ref 0 in
+         (* Journal appends commit inside the pool's single-writer section,
+            so with several front-end domains the journal order is the
+            order refinements were applied in. *)
+         Option.iter
+           (fun w ->
+             Engine.Pool.set_on_feedback pool (fun query ~actual ->
+                 Engine.Journal.append w { Engine.Journal.query; actual }))
+           (open_journal (Engine.Pool.feedback pool));
          Fun.protect
            ~finally:(fun () ->
              Engine.Pool.shutdown pool;
              Option.iter Engine.Auditor.shutdown auditor)
            (fun () ->
-             run_transport
-               ~make_session:(fun () ->
-                 match port with
-                 | None -> (base_server, no_extra)
-                 | Some _ ->
-                   incr next_conn;
-                   ( wrap (Engine.Pool.server ~affinity:!next_conn pool),
+             run_transport ~domains:workers
+               ~make_session:(fun srv ~domain ->
+                 match srv with
+                 | None -> (Engine.Pool.server pool, no_extra)
+                 | Some srv ->
+                   ( Engine.Pool.server ~shard:domain
+                       ~arrived:(fun () -> Net.Server.frame_arrived srv ~domain)
+                       ~shed:(fun () -> Net.Server.frame_shed srv ~domain)
+                       pool,
                      no_extra ))
                (fun () -> ()))
        end);
-    (* Drain ordering (DESIGN.md §13): admission already stopped (the serve
-       loop has exited) and in-flight work drained (Pool.shutdown above);
-       now flush durable state — trace, journal, telemetry, metrics. *)
+    (* Drain ordering (DESIGN.md §13): admission already stopped (every
+       serve loop has exited, answering and flushing what it had read) and
+       the pool refuses new work (Pool.shutdown above); now flush durable
+       state — trace, journal, telemetry, metrics. *)
     write_trace ();
     (match !journal with Some w -> Engine.Journal.close w | None -> ());
     Option.iter close_out telemetry_oc;
@@ -969,7 +1005,7 @@ let serve_cmd =
              --audit-rate with --audit-doc or manifest doc= fields), PING, \
              VERSION. One \
              positional SYNOPSIS serves a single synopsis (--workers N \
-             spreads estimates across N domains sharing it); --manifest \
+             serves it from N domains, each answering its own connections); --manifest \
              serves a registry of named synopses with USE <tenant> \
              selection, LRU paging under --memory-budget, and per-tenant \
              journals under --journal-dir. Failure handling: --deadline-ms \

@@ -7,7 +7,6 @@ module Lru_cache = Lru_cache
 module Feedback = Feedback
 module Flight_recorder = Flight_recorder
 module Drift = Drift
-module Work_queue = Work_queue
 module Serve = Serve
 module Pool = Pool
 module Journal = Journal

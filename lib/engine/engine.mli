@@ -26,9 +26,9 @@
 
     The per-query pipeline itself lives in {!Shard}, with two front ends:
     this engine serves one shard inline on the caller's thread, and
-    {!Pool} runs N of the same shards over one shared synopsis behind a
-    bounded {!Work_queue}, with single-writer feedback and epoch-based
-    cache invalidation. Both answer every verb through the same shard
+    {!Pool} runs N of the same shards over one shared synopsis, each
+    answered on the thread that asks, with single-writer feedback and
+    epoch-based cache invalidation. Both answer every verb through the same shard
     code, so their estimates and flight records agree by construction;
     {!Serve} is the line protocol both speak.
 
@@ -41,7 +41,6 @@ module Lru_cache = Lru_cache
 module Feedback = Feedback
 module Flight_recorder = Flight_recorder
 module Drift = Drift
-module Work_queue = Work_queue
 module Serve = Serve
 module Pool = Pool
 module Journal = Journal

@@ -111,5 +111,8 @@ val wrap_server : writer -> Serve.server -> Serve.server
     reply acknowledges durability (under the writer's fsync policy). If
     the append fails, the client receives the I/O error even though the
     in-memory refinement already happened — the estimate is live but not
-    durable. All other verbs pass through untouched. The serve protocol
-    loop is single-threaded, so this is the single-writer path. *)
+    durable. All other verbs pass through untouched. This suits a
+    single-threaded engine, whose serve loop is the single-writer path;
+    a multi-domain {!Pool} appends from its single-writer section instead
+    ({!Pool.set_on_feedback}), so the journal order is the order
+    refinements were applied in. *)

@@ -37,16 +37,15 @@
     [PROFILE n] frames exactly like [BATCH n] (the n following lines are
     ESTIMATE requests, verb prefix optional) but runs them as one traced
     batch and answers with a single line giving exact p50/p90/p99 of the
-    three serving stages in microseconds: queue-wait (submit to dequeue),
-    execute (dequeue to result), reassemble (result to batch completion).
+    three serving stages in microseconds: queue-wait (arrival to start),
+    execute (start to result), reassemble (result to batch completion).
     On a single-threaded engine queue-wait and reassemble are zero. Hitting
     end of input inside the frame is one [ERR io-error] line.
 
     [BATCH n] consumes exactly [n] further input lines, each an ESTIMATE
     request (the [ESTIMATE ] verb prefix is optional on payload lines), and
     answers them in submission order behind an [OK n] header — under a pool
-    the batch fans out across worker domains but the reply order is still
-    the submission order. A malformed count (missing, negative, non-numeric
+    the whole batch runs on one shard, on the thread serving the request. A malformed count (missing, negative, non-numeric
     or above the per-batch limit of 10,000) fails with a single [ERR] line
     before any payload line is consumed; hitting end of input inside a
     batch yields [ERR io-error] lines for the missing slots.
@@ -71,8 +70,8 @@ type profile_reply = {
   timed_out : int;  (** queries refused with [ERR timeout] during the run *)
   shed : int;  (** queries refused with [ERR overloaded] during the run *)
   steals : int;
-      (** chunks stolen across shards while the run was in flight,
-          rendered as [steals=<n>]; 0 on a single engine *)
+      (** rendered as [steals=<n>]; always 0 (nothing moves between
+          shards), kept for readers of the reply format *)
   tenant : string option;
       (** the tenant that served the run, rendered as a trailing
           [tenant=<name>] field; [None] outside a registry session *)

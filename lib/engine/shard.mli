@@ -3,9 +3,9 @@
     the shared STATS / METRICS publication.
 
     Two front ends run it. {!Engine_core} serves one shard inline on the
-    caller's thread; {!Pool} runs one shard per worker domain behind its
-    work queue, plus a coordinator shard for the drained verbs (FEEDBACK,
-    EXPLAIN, AUDIT) and for refusal records. Because both call the
+    caller's thread; {!Pool} holds N shards, each run on the thread that
+    holds its mutex, plus a coordinator shard for the single-writer verbs
+    (FEEDBACK, EXPLAIN, AUDIT) and for shed records. Because both call the
     same code, pool estimates are bit-identical to the engine's by
     construction.
 
@@ -38,7 +38,7 @@ type shared = {
 }
 (** State every shard of one serving core shares. Mutable fields are
     written only by the single writer: the engine's thread, or the pool's
-    coordinator with its workers drained. *)
+    single-writer section with every shard held. *)
 
 val shared :
   ?drift_obs:Obs.t ->

@@ -298,9 +298,9 @@ val merged_labeled : (labels * t) list -> t
     {{:https://ui.perfetto.dev}ui.perfetto.dev}).
 
     A {!Trace.t} owns a string-intern table and a set of per-thread ring
-    {!Trace.buf}s. Each buffer belongs to exactly one writer (a worker
-    domain, or a coordinator serialized by its own lock), so the record
-    path takes no lock and touches only preallocated arrays — safe inside
+    {!Trace.buf}s. Each buffer has one writer at a time (a thread, or a
+    pool shard or coordinator under the lock that already guards it), so
+    the record path takes no lock and touches only preallocated arrays — safe inside
     the estimate hot loop. Event names are interned once at setup
     ({!Trace.intern}); recording passes integer ids and monotonic
     timestamps relative to the trace origin ({!Trace.now}). When a ring
@@ -383,9 +383,8 @@ module Trace : sig
   val async_begin : buf -> name:int -> ts:float -> id:int -> unit
   val async_end : buf -> name:int -> ts:float -> id:int -> unit
   (** Async ([b]/[e]) spans under one [id]: unlike [B]/[E] they may overlap
-      freely and may end on a different buffer than they began — the pool's
-      queue-wait spans (begin at enqueue on the coordinator, end at dequeue
-      on the serving shard). *)
+      freely and may end on a different buffer than they began — an
+      interval handed from one domain to another. *)
 
   (** {2 Export} *)
 

@@ -445,7 +445,7 @@ let net_live_case rng ~seed ~case =
     let domain =
       Domain.spawn (fun () ->
           Net.Server.run srv
-            ~make_session:(fun () -> (server, fun _ _ -> None))
+            ~make_session:(fun ~domain:_ -> (server, fun _ _ -> None))
             ())
     in
     let port = Net.Server.port srv in

@@ -240,13 +240,12 @@ let test_pool_bit_identical () =
         (bits (pool_value pool q)))
     queries
 
-(* The same oracle under chunked dispatch, stealing and affinity routing,
-   on hostile inputs: random documents, a query mix that includes
-   malformed and degenerate spellings, a pool configured so batches split
-   into many small chunks (workers > chunk plan slots, chunk_target 3)
-   and every batch routed to one preferred shard so the others must
-   steal. Errors must agree by kind, values bit for bit, including after
-   an identical feedback observation bumps the pool's epoch. *)
+(* The same oracle under concurrency, on hostile inputs: random
+   documents, a query mix that includes malformed and degenerate
+   spellings, and four caller domains driving a 4-shard pool at once,
+   each checked against its own engine over the same document. Errors
+   must agree by kind, values bit for bit, including after an identical
+   feedback observation bumps the pool's epoch. *)
 
 let rng_doc rng =
   let buf = Buffer.create 256 in
@@ -277,7 +276,7 @@ let hostile_queries path_tree =
     [ ""; "/r["; "///"; "/r//*[z"; "$%#@!"; "//*"; "/*/*/*";
       "/" ^ String.concat "/" (List.init 60 (fun _ -> "a")) ]
   in
-  (* Interleave so hostile slots land mid-chunk, not in a block. *)
+  (* Interleave so hostile slots land mid-batch, not in a block. *)
   let rec weave = function
     | [], rest | rest, [] -> rest
     | a :: xs, b :: ys -> a :: b :: weave (xs, ys)
@@ -310,26 +309,44 @@ let test_pool_chunked_hostile_bit_identical () =
     let doc = rng_doc rng in
     let path_tree, engine_est = build_stack doc in
     let _, pool_est = build_stack doc in
-    let engine = Engine.create engine_est in
-    let pool = Engine.Pool.create ~workers:4 ~chunk_target:3 pool_est in
+    let callers = 4 in
+    let engines =
+      Array.init callers (fun c ->
+          Engine.create
+            (if c = 0 then engine_est else snd (build_stack doc)))
+    in
+    let pool = Engine.Pool.create ~workers:4 pool_est in
     Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
     let queries = hostile_queries path_tree in
     let label = Printf.sprintf "round %d" round in
-    (* Affinity-routed singles agree... *)
-    List.iter
-      (fun q ->
-        check_agree ~label engine (Engine.Pool.estimate ~affinity:round pool q) q)
-      queries;
-    (* ...and an affinity-routed batch (all chunks planned onto one shard,
-       the other three must steal) agrees slot for slot in submission
-       order. *)
-    let batch = Engine.Pool.estimate_batch ~affinity:round pool queries in
-    checki (label ^ " batch width") (List.length queries) (List.length batch);
-    List.iter2 (fun q reply -> check_agree ~label:(label ^ " batch") engine reply q)
-      queries batch;
-    (* One identical feedback on both sides: the pool drains it on a worker
-       domain, refines, bumps its epoch — and must still agree bit for bit
-       with the engine that refined in-line. *)
+    (* Run [check] from every caller domain at once, each against its own
+       engine (engines are single-threaded). Alcotest's assertion log is
+       not domain-safe, so assertions take [locked]; the pool calls they
+       check run concurrently. *)
+    let lock = Mutex.create () in
+    let locked f = Mutex.protect lock f in
+    let concurrently check =
+      List.iter Domain.join
+        (List.init callers (fun c ->
+             Domain.spawn (fun () -> check engines.(c))))
+    in
+    concurrently (fun engine ->
+        (* Singles agree... *)
+        List.iter
+          (fun q ->
+            let reply = Engine.Pool.estimate pool q in
+            locked (fun () -> check_agree ~label engine reply q))
+          queries;
+        (* ...and a batch agrees slot for slot in submission order. *)
+        let batch = Engine.Pool.estimate_batch pool queries in
+        locked (fun () ->
+            checki (label ^ " batch width") (List.length queries) (List.length batch);
+            List.iter2 (fun q reply -> check_agree ~label:(label ^ " batch") engine reply q)
+              queries batch));
+    (* One identical feedback on both sides: the pool refines in its
+       single-writer section, bumps its epoch — and must still agree bit
+       for bit with the engines that refined in-line. *)
+    let engine = engines.(0) in
     let fq =
       List.find
         (fun q -> match Engine.estimate engine q with Ok _ -> true | Error _ -> false)
@@ -337,24 +354,29 @@ let test_pool_chunked_hostile_bit_identical () =
     in
     let wrong_actual = 10 * (1 + int_of_float (engine_value engine fq)) in
     let epoch_before = Engine.Pool.epoch pool in
-    (match Engine.feedback engine fq ~actual:wrong_actual with
-     | Ok _ -> ()
-     | Error e ->
-       Alcotest.failf "%s engine feedback: %s" label (Core.Error.to_string e));
+    Array.iter
+      (fun engine ->
+        match Engine.feedback engine fq ~actual:wrong_actual with
+        | Ok _ -> ()
+        | Error e ->
+          Alcotest.failf "%s engine feedback: %s" label (Core.Error.to_string e))
+      engines;
     (match Engine.Pool.feedback pool fq ~actual:wrong_actual with
      | Ok _ -> ()
      | Error e ->
        Alcotest.failf "%s pool feedback: %s" label (Core.Error.to_string e));
     checkb (label ^ " epoch bumped or kept") true
       (Engine.Pool.epoch pool >= epoch_before);
-    let batch2 = Engine.Pool.estimate_batch ~affinity:round pool queries in
-    List.iter2
-      (fun q reply -> check_agree ~label:(label ^ " post-feedback") engine reply q)
-      queries batch2
+    concurrently (fun engine ->
+        let batch2 = Engine.Pool.estimate_batch pool queries in
+        locked (fun () ->
+            List.iter2
+              (fun q reply -> check_agree ~label:(label ^ " post-feedback") engine reply q)
+              queries batch2))
   done
 
-(* Mid-batch deadline expiry under chunked dispatch. One worker, one
-   8-slot chunk, a 50 ms budget measured from the chunk's enqueue: slots
+(* Mid-batch deadline expiry. One shard, one 8-slot batch, a 50 ms budget
+   measured from the call: slots
    before the gated query are served within budget (and must match the
    engine bit for bit), the gated slot and everything after it expire
    while the worker is parked, and the refusals must not disturb
@@ -389,7 +411,7 @@ let test_pool_deadline_mid_batch () =
   let g = gate () in
   let deadline_s = 0.05 in
   let pool =
-    Engine.Pool.create ~workers:1 ~chunk_target:8 ~deadline_s
+    Engine.Pool.create ~workers:1 ~deadline_s
       ~chaos:(gate_hook g) pool_est
   in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
@@ -401,8 +423,8 @@ let test_pool_deadline_mid_batch () =
   let batcher =
     Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
   in
-  (* The worker served slots 0-1 and is now parked inside slot 2; hold it
-     past the whole chunk's budget before letting go. *)
+  (* The shard served slots 0-1 and is now parked inside slot 2; hold it
+     past the whole batch's budget before letting go. *)
   Mutex.lock g.g_lock;
   while not g.g_entered do Condition.wait g.g_cond g.g_lock done;
   Mutex.unlock g.g_lock;

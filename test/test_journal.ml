@@ -374,6 +374,104 @@ let test_crash_recovery_equivalence () =
   checkb "post-recovery q-error median equals uninterrupted run" true
     (Float.equal (median engine_a) (median engine_c))
 
+(* Journal order under two front ends. Two TCP clients of a 2-domain pool
+   server each send 200 FEEDBACKs at once, many of them on the same
+   queries with different actuals, so the learned state depends on the
+   order refinements were applied in. The pool commits each journal
+   append inside its single-writer section, so a server restarted from
+   the journal must hold a HET byte-identical to the live one. *)
+let test_journal_order_two_front_ends () =
+  with_temp @@ fun path ->
+  let doc = Datagen.Xmark.generate ~seed:5 ~items:30 () in
+  let syn = Core.Synopsis.to_string (Core.Synopsis.build doc) in
+  let estimator () = Core.Synopsis.estimator (Core.Synopsis.of_string syn) in
+  let het_dump est =
+    match Core.Estimator.het est with
+    | Some h -> Core.Het.to_string h
+    | None -> Alcotest.fail "synopsis without HET"
+  in
+  let queries =
+    let path_tree = Pathtree.Path_tree.of_string doc in
+    let rng = Datagen.Rng.create ~seed:9 in
+    Array.of_list
+      (List.map Xpath.Ast.to_string
+         (Datagen.Workload.all_simple_paths path_tree
+         @ Datagen.Workload.branching path_tree ~rng ~count:10 ()))
+  in
+  let per_client = 200 in
+  let live = estimator () in
+  let pool = Engine.Pool.create ~workers:2 live in
+  let w =
+    match Engine.Journal.open_append ~fsync:`Never path with
+    | Ok w -> w
+    | Error e -> Alcotest.failf "open_append: %s" (Core.Error.to_string e)
+  in
+  (* A slow commit (a disk flush, say) widens the window in which the
+     other front end could apply its feedback between a refinement and
+     its append. *)
+  Engine.Pool.set_on_feedback pool (fun query ~actual ->
+      Unix.sleepf 0.0002;
+      Engine.Journal.append w { Engine.Journal.query; actual });
+  let srv =
+    match Net.Server.create Net.Server.default_config with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "listen: %s" (Core.Error.to_string e)
+  in
+  let server =
+    Domain.spawn (fun () ->
+        Net.Server.run ~domains:2 srv
+          ~make_session:(fun ~domain ->
+            (Engine.Pool.server ~shard:domain pool, fun _ _ -> None))
+          ())
+  in
+  let client c () =
+    match Net.Client.connect ~port:(Net.Server.port srv) () with
+    | Error e -> Error (Core.Error.to_string e)
+    | Ok conn ->
+      Fun.protect ~finally:(fun () -> Net.Client.close conn) @@ fun () ->
+      let bad = ref None in
+      for i = 0 to per_client - 1 do
+        let q = queries.(i mod Array.length queries) in
+        let actual = 1 + (((i * 7) + (c * 13)) mod 50) in
+        match Net.Client.request conn (Printf.sprintf "FEEDBACK %s %d" q actual) with
+        | Ok r when String.starts_with ~prefix:"OK " r -> ()
+        | Ok r -> bad := Some r
+        | Error e -> bad := Some (Core.Error.to_string e)
+      done;
+      (match !bad with Some r -> Error r | None -> Ok ())
+  in
+  let clients = List.init 2 (fun c -> Domain.spawn (client c)) in
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Ok () -> ()
+      | Error r -> Alcotest.failf "feedback reply: %s" r)
+    clients;
+  Net.Server.stop srv;
+  Domain.join server;
+  Engine.Pool.shutdown pool;
+  Engine.Journal.close w;
+  checkb "some feedback refined" true (Engine.Pool.feedback_rounds pool > 0);
+  let entries =
+    match Engine.Journal.scan_file path with
+    | Ok s -> s.Engine.Journal.entries
+    | Error e -> Alcotest.failf "scan: %s" (Core.Error.to_string e)
+  in
+  checki "every feedback journalled" (2 * per_client) (List.length entries);
+  let restarted = estimator () in
+  let replay = Engine.Pool.create ~workers:2 restarted in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown replay) @@ fun () ->
+  List.iter
+    (fun (e : Engine.Journal.entry) ->
+      match
+        Engine.Pool.feedback replay e.Engine.Journal.query
+          ~actual:e.Engine.Journal.actual
+      with
+      | Ok _ -> ()
+      | Error err -> Alcotest.failf "replay: %s" (Core.Error.to_string err))
+    entries;
+  checks "restarted HET = live HET" (het_dump live) (het_dump restarted)
+
 let () =
   Alcotest.run "journal"
     [ ( "format",
@@ -393,4 +491,6 @@ let () =
         [ Alcotest.test_case "wrap_server journals feedback" `Quick
             test_wrap_server;
           Alcotest.test_case "crash recovery equivalence" `Quick
-            test_crash_recovery_equivalence ] ) ]
+            test_crash_recovery_equivalence;
+          Alcotest.test_case "journal order under two front ends" `Quick
+            test_journal_order_two_front_ends ] ) ]

@@ -1,7 +1,9 @@
 (* The TCP transport: frame codec invariants, the HELLO handshake, and a
    live loopback server driven through Net.Client — including the two
    accept-time refusals (connection cap, idle timeout) whose ERR payloads
-   must name the active limit. *)
+   must name the active limit — and the run-to-completion loops over a
+   pool: balance, bit-identity across domain counts, no head-of-line
+   blocking, drain, and journal order. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -100,10 +102,19 @@ let paper_server () =
   in
   Engine.server (Engine.create estimator)
 
-(* Start a loopback server on an ephemeral port, run [f port], always stop
-   and join the serving domain. *)
-let with_server ?(config = Net.Server.default_config) f =
-  let server = paper_server () in
+(* Start a loopback server on an ephemeral port with [domains] loops, run
+   [f srv port], always stop and join the serving domain. [session srv
+   ~domain] mints each connection's vtable (default: one paper-example
+   engine for every connection). *)
+let with_server ?(config = Net.Server.default_config) ?(domains = 1) ?session
+    f =
+  let session =
+    match session with
+    | Some s -> s
+    | None ->
+      let server = paper_server () in
+      fun _ ~domain:_ -> server
+  in
   let srv =
     match Net.Server.create { config with Net.Server.port = 0 } with
     | Ok s -> s
@@ -111,8 +122,8 @@ let with_server ?(config = Net.Server.default_config) f =
   in
   let domain =
     Domain.spawn (fun () ->
-        Net.Server.run srv
-          ~make_session:(fun () -> (server, fun _ _ -> None))
+        Net.Server.run ~domains srv
+          ~make_session:(fun ~domain -> (session srv ~domain, fun _ _ -> None))
           ())
   in
   Fun.protect
@@ -241,6 +252,238 @@ let test_framing_violations_close () =
   checkb "CRC violation answered then closed" true
     (contains ~needle:"CRC-32 mismatch" replies)
 
+(* ------------------------------------------------------------------ *)
+(* Run-to-completion loops over a pool *)
+
+let xmark_doc = lazy (Datagen.Xmark.generate ~seed:7 ~items:40 ())
+
+(* A fresh estimator over the XMark synopsis (its own HET each call, so
+   feedback on one side cannot leak into another). *)
+let xmark_syn = lazy (Core.Synopsis.to_string (Core.Synopsis.build (Lazy.force xmark_doc)))
+let xmark_estimator () =
+  Core.Synopsis.estimator (Core.Synopsis.of_string (Lazy.force xmark_syn))
+
+(* The CLI's pool session: bound to the accepting loop's shard, with the
+   frame's arrival and admission mark from that loop. *)
+let pool_session pool srv ~domain =
+  Engine.Pool.server ~shard:domain
+    ~arrived:(fun () -> Net.Server.frame_arrived srv ~domain)
+    ~shed:(fun () -> Net.Server.frame_shed srv ~domain)
+    pool
+
+let with_pool ?chaos ~workers f =
+  let pool = Engine.Pool.create ~workers ?chaos (xmark_estimator ()) in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) (fun () -> f pool)
+
+let pool_domains stats =
+  match String.index_opt stats ' ' with
+  | None -> Alcotest.failf "STATS reply %S" stats
+  | Some i ->
+    let json =
+      Obs.Json.of_string (String.sub stats (i + 1) (String.length stats - i - 1))
+    in
+    (match Obs.Json.member "pool" json with
+     | Some pool ->
+       (match Obs.Json.member "domains" pool with
+        | Some (Obs.Json.List ds) ->
+          List.map
+            (fun d ->
+              let int k =
+                match Obs.Json.member k d with
+                | Some (Obs.Json.Int n) -> n
+                | _ -> Alcotest.failf "domain entry without %s" k
+              in
+              (int "connections", int "frames"))
+            ds
+        | _ -> Alcotest.fail "STATS pool without domains")
+     | None -> Alcotest.fail "STATS without pool")
+
+(* Two clients of a 2-domain server land on distinct domains, and each
+   domain answers its own client's frames. *)
+let test_balance () =
+  with_pool ~workers:2 @@ fun pool ->
+  with_server ~domains:2 ~session:(pool_session pool) @@ fun _srv port ->
+  let c1 = connect_ok port in
+  let c2 = connect_ok port in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Client.close c1;
+      Net.Client.close c2)
+  @@ fun () ->
+  ignore (request_ok c1 "ESTIMATE //item" : string);
+  ignore (request_ok c2 "ESTIMATE //person" : string);
+  match pool_domains (request_ok c1 "STATS") with
+  | [ (1, 1); (1, 1) ] -> ()
+  | ds ->
+    Alcotest.failf "per-domain (connections, frames): %s"
+      (String.concat "; "
+         (List.map (fun (c, f) -> Printf.sprintf "(%d, %d)" c f) ds))
+
+let differential_queries () =
+  let doc = Lazy.force xmark_doc in
+  let path_tree = Pathtree.Path_tree.of_string doc in
+  let rng = Datagen.Rng.create ~seed:3 in
+  List.map Xpath.Ast.to_string
+    (Datagen.Workload.all_simple_paths path_tree
+    @ Datagen.Workload.branching path_tree ~rng ~count:15 ()
+    @ Datagen.Workload.complex path_tree ~rng ~count:15 ())
+  @ [ "//item["; "$%#@!" ]
+
+(* Every reply one client sees, as sent: singles, a repeat pass (hits) and
+   one BATCH of everything. *)
+let transcript port queries =
+  let c = connect_ok port in
+  Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+  let singles = List.map (fun q -> request_ok c ("ESTIMATE " ^ q)) queries in
+  let repeats = List.map (fun q -> request_ok c ("ESTIMATE " ^ q)) queries in
+  let batch =
+    request_ok c
+      (String.concat "\n"
+         (Printf.sprintf "BATCH %d" (List.length queries) :: queries))
+  in
+  singles @ repeats @ [ batch ]
+
+(* The differential query set is answered byte-identically by the single
+   engine on one loop and by 2- and 4-domain pools. *)
+let test_bit_identity_across_domains () =
+  let queries = differential_queries () in
+  let engine = Engine.server (Engine.create (xmark_estimator ())) in
+  let expected =
+    with_server ~session:(fun _ ~domain:_ -> engine) (fun _srv port ->
+        transcript port queries)
+  in
+  List.iter
+    (fun workers ->
+      with_pool ~workers @@ fun pool ->
+      with_server ~domains:workers ~session:(pool_session pool)
+      @@ fun _srv port ->
+      List.iteri
+        (fun i (e, got) ->
+          checks (Printf.sprintf "--workers %d reply %d" workers i) e got)
+        (List.combine expected (transcript port queries)))
+    [ 2; 4 ]
+
+(* While connection A's 10k-miss BATCH runs on its domain, connection B's
+   ESTIMATE is answered on the other one and comes back first. A chaos
+   gate holds A's batch inside its first slot until B's reply is in (or
+   for 2 s), so on a single loop B could only be answered after A. *)
+let test_no_head_of_line_blocking () =
+  let entered = Atomic.make false and released = Atomic.make false in
+  let chaos q =
+    if q = "//sleepy" then begin
+      Atomic.set entered true;
+      let until = Obs.now_mono () +. 2.0 in
+      while (not (Atomic.get released)) && Obs.now_mono () < until do
+        Domain.cpu_relax ()
+      done;
+      (* Leaving the gate, by release or timeout, is what A's batch
+         resuming means. *)
+      Atomic.set released true
+    end;
+    false
+  in
+  with_pool ~chaos ~workers:2 @@ fun pool ->
+  with_server ~domains:2 ~session:(pool_session pool) @@ fun _srv port ->
+  let a = connect_ok port in
+  let b = connect_ok port in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set released true;
+      Net.Client.close a;
+      Net.Client.close b)
+  @@ fun () ->
+  let n = 10_000 in
+  (* Distinct literals: every slot after the gate is a cache miss. *)
+  let batch =
+    String.concat "\n"
+      (Printf.sprintf "BATCH %d" n
+      :: "//sleepy"
+      :: List.init (n - 1) (fun i ->
+             Printf.sprintf "//open_auction[bidder/increase > %d]/seller" i))
+  in
+  let a_done = Domain.spawn (fun () -> Net.Client.request a batch) in
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  let b_reply = request_ok b "ESTIMATE //person" in
+  let a_still_running = not (Atomic.get released) in
+  Atomic.set released true;
+  let a_reply = Domain.join a_done in
+  checkb "B answered" true (String.starts_with ~prefix:"OK " b_reply);
+  checkb "B's estimate came back while A's batch was running" true
+    a_still_running;
+  match a_reply with
+  | Ok r ->
+    checki "A's batch fully answered" (n + 1)
+      (List.length (String.split_on_char '\n' r))
+  | Error e -> Alcotest.failf "A: %s" (Core.Error.to_string e)
+
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+(* A stop with a BATCH in flight on each of two domains: both batches
+   finish, every reply reaches its client, and no descriptor leaks. A chaos
+   gate holds each batch inside its first slot until the stop is issued. *)
+let test_drain_with_batches_in_flight () =
+  let fds0 = open_fds () in
+  let entered = Atomic.make 0 and released = Atomic.make false in
+  let chaos q =
+    if q = "//sleepy" then begin
+      Atomic.incr entered;
+      while not (Atomic.get released) do
+        Domain.cpu_relax ()
+      done
+    end;
+    false
+  in
+  let n = 500 in
+  let payload =
+    String.concat "\n"
+      (Printf.sprintf "BATCH %d" (n + 1)
+      :: "//sleepy"
+      :: List.init n (fun i -> Printf.sprintf "//item[quantity > %d]" i))
+  in
+  with_pool ~chaos ~workers:2 (fun pool ->
+      let srv =
+        match Net.Server.create Net.Server.default_config with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "listen: %s" (Core.Error.to_string e)
+      in
+      let port = Net.Server.port srv in
+      let server =
+        Domain.spawn (fun () ->
+            Net.Server.run ~domains:2 srv
+              ~make_session:(fun ~domain ->
+                (pool_session pool srv ~domain, fun _ _ -> None))
+              ())
+      in
+      let clients = List.init 2 (fun _ -> connect_ok port) in
+      let replies =
+        List.map
+          (fun c -> Domain.spawn (fun () -> Net.Client.request c payload))
+          clients
+      in
+      while Atomic.get entered < 2 do
+        Domain.cpu_relax ()
+      done;
+      Net.Server.stop srv;
+      Atomic.set released true;
+      Domain.join server;
+      List.iter
+        (fun d ->
+          match Domain.join d with
+          | Ok r ->
+            checki "every slot of the in-flight batch delivered" (n + 2)
+              (List.length (String.split_on_char '\n' r))
+          | Error e -> Alcotest.failf "in-flight batch: %s" (Core.Error.to_string e))
+        replies;
+      List.iter Net.Client.close clients);
+  match (fds0, open_fds ()) with
+  | Some before, Some after -> checki "no descriptor leaked" before after
+  | _ -> ()
+
 let () =
   Alcotest.run "net"
     [ ( "frame",
@@ -255,5 +498,13 @@ let () =
           Alcotest.test_case "connection cap" `Quick test_connection_cap;
           Alcotest.test_case "idle timeout" `Quick test_idle_timeout;
           Alcotest.test_case "framing violations close" `Quick
-            test_framing_violations_close ] )
+            test_framing_violations_close ] );
+      ( "domains",
+        [ Alcotest.test_case "two clients on two domains" `Quick test_balance;
+          Alcotest.test_case "bit-identical at 1, 2 and 4 domains" `Quick
+            test_bit_identity_across_domains;
+          Alcotest.test_case "no head-of-line blocking" `Quick
+            test_no_head_of_line_blocking;
+          Alcotest.test_case "drain with batches in flight" `Quick
+            test_drain_with_batches_in_flight ] )
     ]

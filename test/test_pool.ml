@@ -1,200 +1,16 @@
-(* The serving pool: sharded work-queue semantics (chunk dispatch, work
-   stealing), epoch-based invalidation, deterministic scheduling tests, and
-   a multi-domain stress run.
+(* The serving pool: requests answered on the caller's shard, epoch-based
+   invalidation, deterministic failure-model tests, and a multi-domain
+   stress run.
 
-   The scheduling tests lean on two pinned protocol rules to stay
-   deterministic without sleeps: (1) a lone chunk that [split] refuses
-   (length 1, the granularity floor) is never stolen, so a rendezvous
-   query routed to one shard as a length-1 chunk parks exactly that
-   shard's worker; (2) thieves take from the tail while owners pop the
-   head, so the head chunk of a parked shard's deque is always the one
-   left behind. [STRESS_OPS] scales the per-client op count (default 800
-   for `dune runtest`; `make stress` runs 10_000). *)
+   The failure tests park a shard deterministically, without sleeps: a
+   chaos gate blocks the request holding it inside a designated query, so
+   a second caller finds no shard free. [STRESS_OPS] scales the per-client
+   op count (default 800 for `dune runtest`; `make stress` runs 10_000). *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 let bits = Int64.bits_of_float
-
-(* ------------------------------------------------------------------ *)
-(* Work queue *)
-
-let no_split _ = None
-
-(* Chunks stand in as (lo, hi) ranges in the queue-level tests; the split
-   mirrors the pool's: keep the leading (ceil) half, donate the rest, and
-   refuse below 2 slots. *)
-let split_range (lo, hi) =
-  if hi - lo < 2 then None
-  else
-    let mid = lo + ((hi - lo + 1) / 2) in
-    Some ((lo, mid), (mid, hi))
-
-let test_queue_fifo () =
-  Alcotest.check_raises "capacity >= 1"
-    (Invalid_argument "Work_queue.create: capacity 0 < 1") (fun () ->
-      ignore
-        (Engine.Work_queue.create ~shards:1 ~capacity:0 ()
-          : int Engine.Work_queue.t));
-  Alcotest.check_raises "shards >= 1"
-    (Invalid_argument "Work_queue.create: shards 0 < 1") (fun () ->
-      ignore
-        (Engine.Work_queue.create ~shards:0 ~capacity:4 ()
-          : int Engine.Work_queue.t));
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:4 () in
-  checki "capacity" 4 (Engine.Work_queue.capacity q);
-  checki "shards" 1 (Engine.Work_queue.shards q);
-  checki "empty" 0 (Engine.Work_queue.length q);
-  Alcotest.check_raises "shard range checked"
-    (Invalid_argument "Work_queue: shard 5 out of range [0,1)") (fun () ->
-      ignore (Engine.Work_queue.push q ~shard:5 0 : bool));
-  for i = 1 to 4 do
-    checkb "push accepted" true (Engine.Work_queue.push q ~shard:0 i)
-  done;
-  checki "full" 4 (Engine.Work_queue.length q);
-  checkb "pop 1" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "push 5 after pop" true (Engine.Work_queue.push q ~shard:0 5);
-  (* FIFO across the ring seam *)
-  List.iter
-    (fun expect ->
-      checkb "fifo order" true
-        (Engine.Work_queue.pop q ~shard:0 ~split:no_split
-        = Some (expect, None)))
-    [ 2; 3; 4; 5 ]
-
-let test_queue_close_drains () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:4 () in
-  checkb "push a" true (Engine.Work_queue.push q ~shard:0 "a");
-  checkb "push b" true (Engine.Work_queue.push q ~shard:0 "b");
-  Engine.Work_queue.close q;
-  checkb "closed" true (Engine.Work_queue.closed q);
-  checkb "push refused" false (Engine.Work_queue.push q ~shard:0 "c");
-  checkb "drains a" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some ("a", None));
-  checkb "drains b" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some ("b", None));
-  checkb "then None" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = None);
-  checkb "still None" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = None)
-
-(* Producers block on a full deque until consumers make room; close wakes
-   everyone. Run to completion = no deadlock. *)
-let test_queue_concurrent () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:2 () in
-  let n = 500 in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to n - 1 do
-              ignore (Engine.Work_queue.push q ~shard:0 ((p * n) + i) : bool)
-            done))
-  in
-  let seen = Array.make (2 * n) false in
-  let consumed = ref 0 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match Engine.Work_queue.pop q ~shard:0 ~split:no_split with
-          | None -> ()
-          | Some (v, _) ->
-            seen.(v) <- true;
-            incr consumed;
-            loop ()
-        in
-        loop ())
-  in
-  List.iter Domain.join producers;
-  Engine.Work_queue.close q;
-  Domain.join consumer;
-  checki "all consumed" (2 * n) !consumed;
-  checkb "every item exactly once" true (Array.for_all Fun.id seen)
-
-(* The steal protocol, stepped through where every transition is visible:
-   own head first; a victim with >= 2 chunks donates its tail whole; a
-   victim down to its last divisible chunk is halved; a lone chunk that
-   split refuses is never stolen. *)
-let test_queue_steal_protocol () =
-  let q = Engine.Work_queue.create ~shards:3 ~capacity:4 () in
-  let pop shard = Engine.Work_queue.pop q ~shard ~split:split_range in
-  (* Own deque first, even when another shard's deque is longer. *)
-  checkb "push own" true (Engine.Work_queue.push q ~shard:1 (10, 12));
-  checkb "push 0a" true (Engine.Work_queue.push q ~shard:0 (0, 2));
-  checkb "push 0b" true (Engine.Work_queue.push q ~shard:0 (2, 4));
-  (match pop 1 with
-   | Some ((10, 12), None) -> ()
-   | _ -> Alcotest.fail "owner must serve its own head before stealing");
-  checki "no steal for an own pop" 0
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  (* A victim holding >= 2 chunks donates its tail chunk whole. *)
-  (match pop 1 with
-   | Some ((2, 4), Some 0) -> ()
-   | _ -> Alcotest.fail "thief should take shard 0's tail chunk whole");
-  checki "one steal" 1 (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  (* A victim down to its last divisible chunk is only relieved of half:
-     the keep-half returns to the victim's deque. *)
-  (match pop 2 with
-   | Some ((1, 2), Some 0) -> ()
-   | _ -> Alcotest.fail "thief should take the trailing half of (0,2)");
-  checki "split counts as a steal" 2
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  checki "keep-half stays reachable" 1 (Engine.Work_queue.length q);
-  (* The surviving (0,1) chunk is below the granularity floor: a thief
-     blocks rather than taking it. The wait counter ticking under the lock
-     is the rendezvous proving the steal was refused. *)
-  let thief = Domain.spawn (fun () -> pop 1) in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checki "lone unsplittable chunk never stolen" 2
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  (* The owner drains it head-first... *)
-  (match pop 0 with
-   | Some ((0, 1), None) -> ()
-   | _ -> Alcotest.fail "owner should pop its own lone chunk");
-  (* ...and close wakes the starved thief into the drained exit. *)
-  Engine.Work_queue.close q;
-  checkb "starved thief sees drained close" true (Domain.join thief = None)
-
-(* Regression: close lands while a lone unsplittable chunk is still queued
-   and a thief is already asleep; the owner's post-close drain must re-wake
-   the thief (the close broadcast alone is not enough — the thief re-waits
-   when it finds only the chunk it may not take). *)
-let test_queue_close_wakes_starved_thief () =
-  let q = Engine.Work_queue.create ~shards:2 ~capacity:2 () in
-  checkb "push lone" true (Engine.Work_queue.push q ~shard:0 (0, 1));
-  let thief =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:1 ~split:split_range)
-  in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  Engine.Work_queue.close q;
-  (match Engine.Work_queue.pop q ~shard:0 ~split:split_range with
-   | Some ((0, 1), None) -> ()
-   | _ -> Alcotest.fail "owner drains the closed queue");
-  checkb "thief wakes after the post-close drain" true
-    (Domain.join thief = None)
-
-(* With stealing disabled a worker only ever sees its own deque: closed +
-   own deque empty = None even while other shards still hold work. *)
-let test_queue_steal_disabled () =
-  let q = Engine.Work_queue.create ~steal:false ~shards:2 ~capacity:2 () in
-  checkb "push other" true (Engine.Work_queue.push q ~shard:0 (0, 4));
-  let idle =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:1 ~split:split_range)
-  in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checki "no steal with stealing off" 0
-    (Engine.Work_queue.stats q).Engine.Work_queue.steals;
-  Engine.Work_queue.close q;
-  checkb "idle shard exits without the other's work" true
-    (Domain.join idle = None);
-  checkb "owner still drains its own" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:split_range = Some ((0, 4), None))
 
 (* ------------------------------------------------------------------ *)
 (* Drift shard accounting (regression: per-shard records must sum into the
@@ -232,100 +48,16 @@ let test_drift_shards_sum () =
   | _ -> Alcotest.fail "drift summary not an object"
 
 (* ------------------------------------------------------------------ *)
-(* Chunk plan: the pure partition function, QCheck-pinned. *)
-
-let prop_plan_partition =
-  QCheck.Test.make ~count:500
-    ~name:"plan_chunks partitions [0,n) exactly, in order"
-    QCheck.(triple (int_bound 200) (int_range 1 8) (int_range 1 16))
-    (fun (n, workers, chunk_target) ->
-      let plan = Engine.Pool.plan_chunks ~n ~workers ~chunk_target () in
-      let count = Array.length plan in
-      (* Count law: never more chunks than slots, at least one per worker
-         (for parallelism), near chunk_target slots each. *)
-      let expect_count =
-        if n <= 0 then 0
-        else min n (max workers ((n + chunk_target - 1) / chunk_target))
-      in
-      if count <> expect_count then
-        QCheck.Test.fail_reportf "n=%d workers=%d target=%d: %d chunks, not %d"
-          n workers chunk_target count expect_count;
-      (* Exact contiguous cover: every index exactly once, in order. *)
-      let next = ref 0 in
-      Array.iter
-        (fun (lo, hi, shard) ->
-          if lo <> !next then
-            QCheck.Test.fail_reportf "gap/overlap: chunk starts at %d, not %d"
-              lo !next;
-          if hi <= lo then QCheck.Test.fail_reportf "empty chunk at %d" lo;
-          if shard < 0 || shard >= workers then
-            QCheck.Test.fail_reportf "shard %d out of [0,%d)" shard workers;
-          next := hi)
-        plan;
-      if !next <> max 0 n then
-        QCheck.Test.fail_reportf "cover ends at %d, not %d" !next n;
-      (* Sizes differ by at most one, longer chunks first; round-robin
-         placement without affinity. *)
-      let sizes = Array.map (fun (lo, hi, _) -> hi - lo) plan in
-      for i = 1 to count - 1 do
-        if sizes.(i) > sizes.(i - 1) then
-          QCheck.Test.fail_reportf "short chunk before long at %d" i
-      done;
-      if count > 0 && sizes.(0) - sizes.(count - 1) > 1 then
-        QCheck.Test.fail_reportf "chunk sizes differ by more than one";
-      Array.iteri
-        (fun i (_, _, shard) ->
-          if shard <> i mod workers then
-            QCheck.Test.fail_reportf "chunk %d on shard %d, not %d" i shard
-              (i mod workers))
-        plan;
-      true)
-
-let prop_plan_affinity =
-  QCheck.Test.make ~count:200
-    ~name:"affinity plans every chunk onto the preferred shard"
-    QCheck.(quad (int_range 1 200) (int_range 1 8) (int_range 1 16) small_nat)
-    (fun (n, workers, chunk_target, p) ->
-      let preferred = p mod workers in
-      let plan =
-        Engine.Pool.plan_chunks ~n ~workers ~chunk_target ~preferred ()
-      in
-      Array.for_all (fun (_, _, shard) -> shard = preferred) plan)
-
-let test_plan_chunks_edges () =
-  checki "n=0 plans nothing" 0
-    (Array.length (Engine.Pool.plan_chunks ~n:0 ~workers:4 ~chunk_target:8 ()));
-  (match Engine.Pool.plan_chunks ~n:1 ~workers:4 ~chunk_target:8 () with
-   | [| (0, 1, 0) |] -> ()
-   | _ -> Alcotest.fail "n=1 is one length-1 chunk on shard 0");
-  (* n < workers: one slot per chunk, never an empty chunk. *)
-  let p = Engine.Pool.plan_chunks ~n:3 ~workers:8 ~chunk_target:1 () in
-  checki "n < workers plans n chunks" 3 (Array.length p);
-  Array.iteri
-    (fun i (lo, hi, shard) ->
-      checki "lo" i lo;
-      checki "hi" (i + 1) hi;
-      checki "round-robin shard" i shard)
-    p;
-  (* Longer chunks first: 10 slots over 4 chunks is 3,3,2,2. *)
-  let sizes =
-    Array.map
-      (fun (lo, hi, _) -> hi - lo)
-      (Engine.Pool.plan_chunks ~n:10 ~workers:4 ~chunk_target:8 ())
-  in
-  checkb "sizes 3,3,2,2" true (sizes = [| 3; 3; 2; 2 |])
-
-(* ------------------------------------------------------------------ *)
 (* Pool basics *)
 
-let build_pool ?(workers = 2) ?chunk_target doc =
+let build_pool ?(workers = 2) doc =
   let path_tree = Pathtree.Path_tree.of_string doc in
   let kernel =
     Core.Builder.of_string ~table:path_tree.Pathtree.Path_tree.table doc
   in
   let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
   let estimator = Core.Estimator.create ~het kernel in
-  (path_tree, Engine.Pool.create ~workers ?chunk_target estimator)
+  (path_tree, Engine.Pool.create ~workers estimator)
 
 let test_pool_lifecycle () =
   Alcotest.check_raises "workers >= 1"
@@ -334,15 +66,14 @@ let test_pool_lifecycle () =
         (Engine.Pool.create ~workers:0
            (Core.Estimator.create
               (Core.Builder.of_string Datagen.Paper_example.document))));
-  Alcotest.check_raises "chunk_target >= 1"
-    (Invalid_argument "Pool.create: chunk_target 0 < 1") (fun () ->
+  Alcotest.check_raises "queue_capacity >= 1"
+    (Invalid_argument "Pool.create: queue_capacity 0 < 1") (fun () ->
       ignore
-        (Engine.Pool.create ~workers:1 ~chunk_target:0
+        (Engine.Pool.create ~workers:1 ~queue_capacity:0
            (Core.Estimator.create
               (Core.Builder.of_string Datagen.Paper_example.document))));
   let _, pool = build_pool ~workers:2 Datagen.Paper_example.document in
   checki "workers" 2 (Engine.Pool.workers pool);
-  checki "chunk_target default" 8 (Engine.Pool.chunk_target pool);
   checki "epoch starts at 0" 0 (Engine.Pool.epoch pool);
   (match Engine.Pool.estimate pool "/site/regions" with
    | Ok r -> checkb "finite" true (Float.is_finite r.Engine.Serve.value)
@@ -405,11 +136,11 @@ let test_pool_batch_order () =
   check_replies ~expected:(expected @ expected) batch
 
 (* Random batch shapes against sequential singles: submission order and
-   bit-identity hold for every n (0, 1, n < workers, n >> workers) with
-   chunking and stealing on. Fixed seed, one pool. *)
+   bit-identity hold for every n (0, 1, n < workers, n >> workers).
+   Fixed seed, one pool. *)
 let test_pool_batch_random_shapes () =
   let path_tree, pool =
-    build_pool ~workers:3 ~chunk_target:2 Datagen.Paper_example.document
+    build_pool ~workers:3 Datagen.Paper_example.document
   in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   let queries =
@@ -456,59 +187,6 @@ let test_pool_batch_random_shapes () =
             (Core.Error.to_string e))
       batch
   done
-
-(* ------------------------------------------------------------------ *)
-(* Work-queue contention stats. The queue counts a wait (and starts its
-   clock) under the lock *before* sleeping, so polling [stats] until
-   [push_waits]/[pop_waits] ticks is a deterministic rendezvous with a
-   blocked domain — no sleeps, no flakes. *)
-
-let test_queue_stats () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:2 () in
-  let s0 = Engine.Work_queue.stats q in
-  checki "fresh pushes" 0 s0.Engine.Work_queue.pushes;
-  checki "fresh pops" 0 s0.Engine.Work_queue.pops;
-  checki "fresh steals" 0 s0.Engine.Work_queue.steals;
-  checki "fresh high-water" 0 s0.Engine.Work_queue.max_occupancy;
-  checkb "push 1" true (Engine.Work_queue.push q ~shard:0 1);
-  checkb "push 2" true (Engine.Work_queue.push q ~shard:0 2);
-  let s1 = Engine.Work_queue.stats q in
-  checki "two pushes" 2 s1.Engine.Work_queue.pushes;
-  checki "high-water follows occupancy" 2 s1.Engine.Work_queue.max_occupancy;
-  checki "uncontended pushes never wait" 0 s1.Engine.Work_queue.push_waits;
-  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q ~shard:0 3) in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.push_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checkb "pop releases the blocked producer" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "blocked push lands" true (Domain.join producer);
-  let s2 = Engine.Work_queue.stats q in
-  checki "blocked push counted once" 1 s2.Engine.Work_queue.push_waits;
-  checkb "producer blocking time accumulates" true
-    (s2.Engine.Work_queue.push_wait_s > 0.0);
-  (* Symmetric consumer-side wait on an empty ring. *)
-  checkb "drain 2" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (2, None));
-  checkb "drain 3" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (3, None));
-  let consumer =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:0 ~split:no_split)
-  in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  checkb "push releases the blocked consumer" true
-    (Engine.Work_queue.push q ~shard:0 9);
-  checkb "blocked pop sees the push" true
-    (Domain.join consumer = Some (9, None));
-  let s3 = Engine.Work_queue.stats q in
-  checki "all pushes counted" 4 s3.Engine.Work_queue.pushes;
-  checki "all pops counted" 4 s3.Engine.Work_queue.pops;
-  checki "no steals on a single shard" 0 s3.Engine.Work_queue.steals;
-  checki "blocked pop counted once" 1 s3.Engine.Work_queue.pop_waits;
-  checkb "consumer blocking time accumulates" true
-    (s3.Engine.Work_queue.pop_wait_s > 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* PROFILE: per-stage percentiles over one measured batch, and the
@@ -579,8 +257,8 @@ let test_pool_profile () =
   | _ -> Alcotest.failf "unexpected PROFILE reply %S" r
 
 (* ------------------------------------------------------------------ *)
-(* Causal trace: a traced 4-worker pool exports a lint-clean Perfetto
-   trace whose slices land on the right tracks and whose flows resolve. *)
+(* Causal trace: a traced 4-shard pool exports a lint-clean Perfetto
+   trace whose slices land on the right tracks and nest. *)
 
 let trace_events json =
   match Obs.Json.member "traceEvents" json with
@@ -613,8 +291,6 @@ let test_pool_trace () =
   let tr = Obs.Trace.create () in
   let pool = Engine.Pool.create ~workers:4 ~trace:tr estimator in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  (* 16 queries at the default chunk_target 8 over 4 workers plan as
-     exactly 4 chunks (min 16 (max 4 (ceil 16/8))). *)
   let queries =
     List.init 16 (fun i -> if i mod 2 = 0 then "/site/regions" else "/site")
   in
@@ -635,33 +311,36 @@ let test_pool_trace () =
   let named ph name ev =
     ev_str "ph" ev = Some ph && ev_str "name" ev = Some name
   in
-  checki "one dispatch instant per planned chunk" 4
-    (count (named "i" "chunk_dispatch") evs);
-  let executes = List.filter (named "X" "execute") evs in
-  (* At least one execute slice per chunk; steal-splits mint extra chunks,
-     each with its own slice. *)
-  checkb "execute slices cover the chunks" true (List.length executes >= 4);
-  checkb "execute slices live on shard tracks" true
+  let num field ev =
+    match Obs.Json.member field ev with
+    | Some (Obs.Json.Int n) -> float_of_int n
+    | Some (Obs.Json.Float f) -> f
+    | _ -> nan
+  in
+  (* The batch ran to completion on one shard: one frame slice on a shard
+     track, with every query's canonicalize stage nested inside it. *)
+  let frame =
+    match List.filter (named "X" "frame") evs with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "%d frame slices, want 1" (List.length fs)
+  in
+  let tid = ev_int "tid" frame in
+  checkb "frame slice lives on a shard track" true
+    (match tid with Some t -> t >= 1 && t <= 4 | None -> false);
+  let stages = List.filter (named "X" "canonicalize") evs in
+  checki "one canonicalize stage per query" 16 (List.length stages);
+  let lo = num "ts" frame and hi = num "ts" frame +. num "dur" frame in
+  checkb "stages nest inside the frame on its track" true
     (List.for_all
        (fun ev ->
-         match ev_int "tid" ev with
-         | Some tid -> tid >= 1 && tid <= 4
-         | None -> false)
-       executes);
-  checkb "coordinator frames the batch" true
-    (count (named "X" "batch_submit") evs >= 1
-    && count (named "X" "batch_gather") evs >= 1);
-  let flows_started = count (fun ev -> ev_str "ph" ev = Some "s") evs in
-  checki "one flow per planned chunk" 4 flows_started;
-  checki "every flow lands" flows_started
-    (count (fun ev -> ev_str "ph" ev = Some "f") evs);
-  checki "queue-wait spans balance"
-    (count (fun ev -> ev_str "ph" ev = Some "b") evs)
-    (count (fun ev -> ev_str "ph" ev = Some "e") evs);
+         ev_int "tid" ev = tid
+         && num "ts" ev >= lo
+         && num "ts" ev +. num "dur" ev <= hi)
+       stages);
   checkb "gc counters sampled" true
     (count (fun ev -> ev_str "ph" ev = Some "C") evs > 0);
-  checki "drained feedback traced" 1 (count (named "X" "feedback") evs);
-  checki "drained explain traced" 1 (count (named "X" "explain") evs);
+  checki "single-writer feedback traced" 1 (count (named "X" "feedback") evs);
+  checki "single-writer explain traced" 1 (count (named "X" "explain") evs);
   checki "coordinator + 4 shard name rows" 5
     (count
        (fun ev ->
@@ -669,7 +348,7 @@ let test_pool_trace () =
        evs)
 
 (* ------------------------------------------------------------------ *)
-(* Contention telemetry surfaces in the merged exposition and STATS. *)
+(* Pool telemetry surfaces in the merged exposition and STATS. *)
 
 (* A metrics exposition parses iff every non-comment line is
    "name{labels} value" with a finite value and names are sorted runs
@@ -707,11 +386,7 @@ let test_pool_telemetry_metrics () =
   List.iter
     (fun needle -> checkb needle true (contains ~needle text))
     [ "xseed_engine_pool_queue_wait_us_count";
-      "xseed_engine_pool_batch_chunk_count";
-      "xseed_engine_pool_queue_pushes";
-      "xseed_engine_pool_queue_max_occupancy";
-      "xseed_engine_pool_steals_total";
-      "xseed_engine_pool_affinity_hits";
+      "xseed_engine_pool_frames{shard=\"0\"}";
       "xseed_engine_gc_minor_words{shard=\"0\"}";
       "xseed_engine_gc_minor_words{shard=\"1\"}";
       "xseed_engine_pool_busy_fraction{shard=\"0\"}";
@@ -727,34 +402,37 @@ let test_pool_telemetry_metrics () =
   List.iter
     (fun needle -> checkb needle true (contains ~needle text2))
     [ "xseed_scrape_total 1"; "xseed_scrape_duration_seconds" ];
-  (* STATS mirrors the queue's contention counters. *)
+  (* STATS reports per-domain load, and keeps the schema's steal fields. *)
   match Engine.Pool.stats_json pool with
   | Obs.Json.Obj fields ->
     (match List.assoc_opt "pool" fields with
      | Some (Obs.Json.Obj pf) ->
        List.iter
          (fun k -> checkb ("pool stats has " ^ k) true (List.mem_assoc k pf))
-         [ "chunk_target"; "queue_pushes"; "queue_pops"; "queue_steals";
-           "queue_push_waits"; "queue_pop_waits"; "queue_push_wait_s";
-           "queue_pop_wait_s"; "queue_max_occupancy"; "affinity_hits" ];
-       (match List.assoc "queue_pushes" pf with
-        | Obs.Json.Int n ->
-          (* Chunked dispatch: the 8-query batch planned 2 chunks (one per
-             worker) and the single estimate one more — pushes count
-             chunks, not slots. *)
-          checkb "batch traffic counted in chunks" true (n >= 3)
-        | _ -> Alcotest.fail "queue_pushes not an int");
-       (match List.assoc "chunk_target" pf with
-        | Obs.Json.Int n -> checki "chunk_target surfaced" 8 n
-        | _ -> Alcotest.fail "chunk_target not an int")
+         [ "workers"; "epoch"; "queue_steals"; "affinity_hits"; "shed_total";
+           "timeout_total"; "worker_restarts"; "quarantined"; "domains" ];
+       checkb "no steals" true (List.assoc "queue_steals" pf = Obs.Json.Int 0);
+       (match List.assoc "domains" pf with
+        | Obs.Json.List ds ->
+          checki "one entry per shard" 2 (List.length ds);
+          let frames =
+            List.fold_left
+              (fun acc d ->
+                match Obs.Json.member "frames" d with
+                | Some (Obs.Json.Int n) -> acc + n
+                | _ -> Alcotest.fail "domain entry without frames")
+              0 ds
+          in
+          (* The 8-query batch is one request on one shard, the single
+             estimate another. *)
+          checki "requests counted, not slots" 2 frames
+        | _ -> Alcotest.fail "domains not a list")
      | _ -> Alcotest.fail "stats without pool object")
   | _ -> Alcotest.fail "stats_json not an object"
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic work stealing. A chaos gate blocks the preferred shard's
-   worker inside a designated query; the sleeper travels as a lone
-   length-1 chunk (never stolen), so exactly that worker parks while the
-   other shard steals the rest of an affinity-routed batch. *)
+(* A chaos gate: the request that reaches "//sleepy" parks inside the hook,
+   holding its shard, until the test releases it. *)
 
 type gate = {
   g_lock : Mutex.t;
@@ -797,102 +475,9 @@ let paper_estimator () =
   let het, _ = Core.Het_builder.build ~kernel ~path_tree () in
   Core.Estimator.create ~het kernel
 
-(* The smallest client token whose affinity hash lands on [shard]. *)
-let affinity_for pool ~shard =
-  let rec go a =
-    if Engine.Pool.preferred_shard pool ~affinity:a = shard then a
-    else go (a + 1)
-  in
-  go 0
-
-(* chunk_target 1: every slot is its own lone chunk. The parked shard's
-   deque fills with 12 unsplittable chunks; the idle shard steals the 11
-   tail chunks (whole) and the head chunk — protected by the granularity
-   floor — waits for its planned shard. Exactly 11 steals, zero lost or
-   duplicated replies, submission order preserved. *)
-let test_pool_work_stealing () =
-  let g = gate () in
-  let pool =
-    Engine.Pool.create ~workers:2 ~chunk_target:1 ~queue_capacity:64
-      ~chaos:(gate_hook g) (paper_estimator ())
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let aff = affinity_for pool ~shard:0 in
-  let queries =
-    List.init 12 (fun i -> if i mod 3 = 0 then "/site" else "/site/regions")
-  in
-  let expected = expect_singles pool queries in
-  checki "no steals yet" 0 (Engine.Pool.steals_total pool);
-  (* Park shard 0 inside the gate on a lone length-1 chunk. *)
-  let sleeper =
-    Domain.spawn (fun () -> Engine.Pool.estimate ~affinity:aff pool "//sleepy")
-  in
-  gate_await_entered g;
-  let batcher =
-    Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch ~affinity:aff pool queries)
-  in
-  (* Rendezvous: the idle shard steals every chunk above the granularity
-     floor; the count is exact, so spinning to 11 is spinning to done. *)
-  while Engine.Pool.steals_total pool < 11 do Domain.cpu_relax () done;
-  checki "exactly the stealable chunks stolen" 11
-    (Engine.Pool.steals_total pool);
-  gate_release g;
-  (match Domain.join sleeper with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "sleepy: %s" (Core.Error.to_string e));
-  let batch = Domain.join batcher in
-  checki "no lost or duplicated replies" 12 (List.length batch);
-  check_replies ~expected batch;
-  checki "steal count stable after completion" 11
-    (Engine.Pool.steals_total pool);
-  (* Affinity accounting: only the chunks the preferred shard itself
-     served count — the sleeper and the floor-protected head chunk. *)
-  checki "affinity hits" 2 (Engine.Pool.affinity_hits pool);
-  checki "no worker died" 0 (Engine.Pool.worker_restarts pool)
-
-(* Splitting the victim's last chunk: 8 slots at chunk_target 8 over 2
-   workers plan as two 4-slot chunks on the parked shard. The thief takes
-   one whole, then halves the survivor twice (4 -> 2 -> 1) until slot 0
-   alone sits below the granularity floor: exactly 3 steals on every
-   interleaving, and the split halves must not lose, duplicate or reorder
-   any slot. *)
-let test_pool_steal_split () =
-  let g = gate () in
-  let pool =
-    Engine.Pool.create ~workers:2 ~chunk_target:8 ~queue_capacity:64
-      ~chaos:(gate_hook g) (paper_estimator ())
-  in
-  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
-  let aff = affinity_for pool ~shard:0 in
-  let queries =
-    List.init 8 (fun i ->
-        if i mod 2 = 0 then "/site/regions" else "/site/people")
-  in
-  let expected = expect_singles pool queries in
-  let sleeper =
-    Domain.spawn (fun () -> Engine.Pool.estimate ~affinity:aff pool "//sleepy")
-  in
-  gate_await_entered g;
-  let batcher =
-    Domain.spawn (fun () ->
-        Engine.Pool.estimate_batch ~affinity:aff pool queries)
-  in
-  while Engine.Pool.steals_total pool < 3 do Domain.cpu_relax () done;
-  checki "one whole steal, then two splits" 3 (Engine.Pool.steals_total pool);
-  gate_release g;
-  (match Domain.join sleeper with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "sleepy: %s" (Core.Error.to_string e));
-  let batch = Domain.join batcher in
-  checki "all slots answered" 8 (List.length batch);
-  check_replies ~expected batch;
-  checki "splits never double-serve" 3 (Engine.Pool.steals_total pool)
-
 (* ------------------------------------------------------------------ *)
 (* Stress: 4 client domains x STRESS_OPS mixed operations, fixed seed,
-   per-client affinity routing — so batches pile chunks onto one shard and
-   the other workers exercise the steal path under real contention. *)
+   contending for the pool's shards against single-writer feedback. *)
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -910,7 +495,7 @@ let test_pool_stress () =
   let clients = 4 in
   let doc = Datagen.Xmark.generate ~seed:11 ~items:30 () in
   let path_tree, pool =
-    build_pool ~workers:(stress_workers ()) ~chunk_target:2 doc
+    build_pool ~workers:(stress_workers ()) doc
   in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   let server = Engine.Pool.server pool in
@@ -937,12 +522,11 @@ let test_pool_stress () =
       match Datagen.Rng.int rng 100 with
       | n when n < 55 ->
         let q = queries.(Datagen.Rng.int rng (Array.length queries)) in
-        (match Engine.Pool.estimate ~affinity:c pool q with
+        (match Engine.Pool.estimate pool q with
          | Ok r -> if not (ok_value r) then Atomic.incr failures
          | Error _ -> Atomic.incr failures)
       | n when n < 70 ->
-        (* Affinity-routed batch: every chunk plans onto this client's
-           preferred shard, so idle shards must steal to finish it. *)
+        (* A batch runs start to finish on whichever shard is free. *)
         let width = 2 + Datagen.Rng.int rng 6 in
         let batch =
           List.init width (fun _ ->
@@ -953,7 +537,7 @@ let test_pool_stress () =
             match reply with
             | Ok r -> if not (ok_value r) then Atomic.incr failures
             | Error _ -> Atomic.incr failures)
-          (Engine.Pool.estimate_batch ~affinity:c pool batch)
+          (Engine.Pool.estimate_batch pool batch)
       | n when n < 80 ->
         let q = queries.(Datagen.Rng.int rng (Array.length queries)) in
         (match
@@ -983,9 +567,6 @@ let test_pool_stress () =
     (sum (fun c -> c.Engine.Lru_cache.evictions));
   checkb "some traffic was served" true
     (merged.Engine.Lru_cache.hits + merged.Engine.Lru_cache.misses > 0);
-  checkb "steal and affinity counters never regress" true
-    (Engine.Pool.steals_total pool >= 0
-    && Engine.Pool.affinity_hits pool >= 0);
   (* Quiet pool: two scrapes must be byte-identical (no torn/duplicated
      series, idempotent republication). *)
   let m1 = Engine.Pool.metrics_text pool in
@@ -1015,58 +596,6 @@ let test_pool_stress () =
   (match server.Engine.Serve.stats_json () with
    | Obs.Json.Obj fields -> checkb "stats has pool" true (List.mem_assoc "pool" fields)
    | _ -> Alcotest.fail "stats_json not an object")
-
-(* ------------------------------------------------------------------ *)
-(* Close racing blocked producers/consumers. The wait counters tick under
-   the queue lock before the domain sleeps, so spinning on them is a
-   deterministic rendezvous with a domain that is provably blocked inside
-   push/pop when close lands. *)
-
-let test_queue_close_vs_blocked_push () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:1 () in
-  checkb "fill" true (Engine.Work_queue.push q ~shard:0 1);
-  let producer = Domain.spawn (fun () -> Engine.Work_queue.push q ~shard:0 2) in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.push_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  (* The producer is asleep inside push; close must wake it and refuse. *)
-  Engine.Work_queue.close q;
-  checkb "blocked push returns false on close" false (Domain.join producer);
-  checkb "pre-close item drains" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "refused item was never enqueued" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = None);
-  (* try_push answers `Closed without blocking. *)
-  checkb "try_push sees closed" true
-    (Engine.Work_queue.try_push q ~shard:0 3 = `Closed)
-
-let test_queue_close_vs_blocked_pop () =
-  let q = Engine.Work_queue.create ~shards:1 ~capacity:1 () in
-  let consumer =
-    Domain.spawn (fun () -> Engine.Work_queue.pop q ~shard:0 ~split:no_split)
-  in
-  while (Engine.Work_queue.stats q).Engine.Work_queue.pop_waits = 0 do
-    Domain.cpu_relax ()
-  done;
-  (* The consumer is asleep inside pop on an empty ring; close wakes it
-     into the drained-and-closed case. *)
-  Engine.Work_queue.close q;
-  checkb "blocked pop returns None on close" true (Domain.join consumer = None)
-
-let test_queue_try_push () =
-  let q = Engine.Work_queue.create ~shards:2 ~capacity:2 () in
-  checkb "try_push 1" true (Engine.Work_queue.try_push q ~shard:0 1 = `Ok);
-  checkb "try_push 2" true (Engine.Work_queue.try_push q ~shard:0 2 = `Ok);
-  checkb "try_push full" true (Engine.Work_queue.try_push q ~shard:0 3 = `Full);
-  (* Capacity is per shard deque: the other shard still admits. *)
-  checkb "other shard admits" true
-    (Engine.Work_queue.try_push q ~shard:1 9 = `Ok);
-  let s = Engine.Work_queue.stats q in
-  checki "refused push not counted" 3 s.Engine.Work_queue.pushes;
-  checkb "pop makes room" true
-    (Engine.Work_queue.pop q ~shard:0 ~split:no_split = Some (1, None));
-  checkb "try_push after pop" true
-    (Engine.Work_queue.try_push q ~shard:0 3 = `Ok)
 
 (* ------------------------------------------------------------------ *)
 (* Failure handling: deadlines, shedding, supervision, quarantine. *)
@@ -1111,14 +640,13 @@ let test_pool_deadline () =
      | _ -> Alcotest.fail "pool stats not an object")
   | _ -> Alcotest.fail "stats_json not an object"
 
-(* Shed-newest under chunked dispatch: chunk_target 1 keeps the
-   chunk-per-query mapping, so overflowing a capacity-1 deque behind a
-   gated worker sheds exactly the two chunks (= two slots) that do not
-   fit, deterministically. *)
+(* Shed-newest: with the only shard parked in the gate, a 3-slot batch
+   finds no shard free; a capacity of 1 admits its first slot to wait and
+   sheds exactly the two newest, deterministically. *)
 let test_pool_shed_newest () =
   let g = gate () in
   let pool =
-    Engine.Pool.create ~workers:1 ~queue_capacity:1 ~chunk_target:1
+    Engine.Pool.create ~workers:1 ~queue_capacity:1
       ~shed_policy:`Shed_newest ~chaos:(gate_hook g) (paper_estimator ())
   in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
@@ -1224,15 +752,12 @@ let test_pool_supervision () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-quarantine: %s" (Core.Error.to_string e)
 
-(* A worker killed mid-chunk: the already-served slots keep their answers,
-   the unserved remainder of the chunk answers ERR internal, and the batch
-   still completes in submission order. chunk_target 8 with one worker
-   puts slots 0-7 in one chunk with the kill at slot 4. *)
-let test_pool_supervision_mid_chunk () =
+(* A crash mid-batch: the already-served slots keep their answers, the
+   unserved rest of the batch answers ERR internal, and the batch still
+   completes in submission order. *)
+let test_pool_supervision_mid_batch () =
   let chaos q = q = "//kill" in
-  let pool =
-    Engine.Pool.create ~workers:1 ~chunk_target:8 ~chaos (paper_estimator ())
-  in
+  let pool = Engine.Pool.create ~workers:1 ~chaos (paper_estimator ()) in
   Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
   let queries =
     [ "/site"; "/site/regions"; "/site/people"; "/site";
@@ -1255,7 +780,7 @@ let test_pool_supervision_mid_chunk () =
           (Core.Error.kind e = Core.Error.Internal))
     batch;
   checki "one restart" 1 (Engine.Pool.worker_restarts pool);
-  (* The pool keeps serving after the mid-chunk recovery. *)
+  (* The pool keeps serving after the recovery. *)
   match Engine.Pool.estimate pool "/site" with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "post-crash estimate: %s" (Core.Error.to_string e)
@@ -1404,27 +929,7 @@ let test_scratch_privacy () =
 
 let () =
   Alcotest.run "pool"
-    [ ( "work-queue",
-        [ Alcotest.test_case "fifo ring" `Quick test_queue_fifo;
-          Alcotest.test_case "close drains" `Quick test_queue_close_drains;
-          Alcotest.test_case "concurrent producers" `Quick test_queue_concurrent;
-          Alcotest.test_case "steal protocol" `Quick test_queue_steal_protocol;
-          Alcotest.test_case "close wakes starved thief" `Quick
-            test_queue_close_wakes_starved_thief;
-          Alcotest.test_case "stealing disabled" `Quick
-            test_queue_steal_disabled;
-          Alcotest.test_case "contention stats" `Quick test_queue_stats;
-          Alcotest.test_case "try_push never blocks" `Quick test_queue_try_push;
-          Alcotest.test_case "close vs blocked push" `Quick
-            test_queue_close_vs_blocked_push;
-          Alcotest.test_case "close vs blocked pop" `Quick
-            test_queue_close_vs_blocked_pop
-        ] );
-      ( "chunk-plan",
-        [ QCheck_alcotest.to_alcotest prop_plan_partition;
-          QCheck_alcotest.to_alcotest prop_plan_affinity;
-          Alcotest.test_case "edge cases" `Quick test_plan_chunks_edges ] );
-      ( "drift",
+    [ ( "drift",
         [ Alcotest.test_case "shard accounting" `Quick test_drift_shards_sum ] );
       ( "pool",
         [ Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
@@ -1440,17 +945,12 @@ let () =
             test_pool_shed_newest;
           Alcotest.test_case "supervision and quarantine" `Quick
             test_pool_supervision;
-          Alcotest.test_case "supervision mid-chunk" `Quick
-            test_pool_supervision_mid_chunk;
+          Alcotest.test_case "supervision mid-batch" `Quick
+            test_pool_supervision_mid_batch;
           Alcotest.test_case "telemetry metrics" `Quick
             test_pool_telemetry_metrics;
           Alcotest.test_case "engine parity of RECENT" `Quick
             test_pool_engine_recent_parity ] );
-      ( "stealing",
-        [ Alcotest.test_case "deterministic steal of lone chunks" `Quick
-            test_pool_work_stealing;
-          Alcotest.test_case "splitting the last chunk" `Quick
-            test_pool_steal_split ] );
       ( "scratch",
         [ Alcotest.test_case "privacy across domains" `Quick
             test_scratch_privacy ] );
