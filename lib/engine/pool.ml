@@ -250,6 +250,7 @@ let epoch t = Atomic.get t.epoch
 let shed_total t = Atomic.get t.shed_total
 let timeout_total t = Atomic.get t.shared.Shard.timeouts
 let worker_restarts t = Atomic.get t.worker_restarts
+let waiters t = Atomic.get t.waiters
 let qerror_threshold t = t.shared.Shard.threshold
 let feedback_seen t = t.shared.Shard.feedback_seen
 let feedback_rounds t = t.shared.Shard.feedback_rounds
@@ -285,18 +286,22 @@ let try_any t =
   in
   go 0
 
-(* Block until a shard frees up. [waiters] is raised before the probe, so a
-   release either sees it and broadcasts, or happened before the probe and
-   left its shard for the probe to take. *)
+(* Block until a shard frees up, or [None] once the pool is shut down.
+   [waiters] is raised before the probe, so a release either sees it and
+   broadcasts, or happened before the probe and left its shard for the
+   probe to take; [shutdown] broadcasts under [free_lock] after setting
+   [stopped], so a waiter either sees the flag or is woken to see it. *)
 let wait_any t =
   Mutex.protect t.free_lock (fun () ->
       Atomic.incr t.waiters;
       let rec go () =
-        match try_any t with
-        | Some s -> s
-        | None ->
-          Condition.wait t.free_cond t.free_lock;
-          go ()
+        if Atomic.get t.stopped then None
+        else
+          match try_any t with
+          | Some s -> Some s
+          | None ->
+            Condition.wait t.free_cond t.free_lock;
+            go ()
       in
       let s = go () in
       Atomic.decr t.waiters;
@@ -349,7 +354,7 @@ let acquire ?shard t ~seq_base queries results =
          let s = wait_any t in
          if t.shed_policy = `Shed_newest then
            ignore (Atomic.fetch_and_add t.waiting (-admitted) : int);
-         (Some s, admitted)
+         (s, admitted)
        end)
 
 (* ------------------------------------------------------------------ *)
@@ -612,9 +617,13 @@ let invalidate t =
          Ok ())
       : (unit, Core.Error.t) result)
 
+(* Refuse first, then drain: a caller still waiting for a shard is woken
+   into the refusal at once rather than served after the requests in
+   flight, which run to completion before this returns. *)
 let shutdown t =
-  Array.iter (fun s -> Mutex.lock s.lock) t.shards;
   Atomic.set t.stopped true;
+  Mutex.protect t.free_lock (fun () -> Condition.broadcast t.free_cond);
+  Array.iter (fun s -> Mutex.lock s.lock) t.shards;
   Array.iter (release t) t.shards
 
 (* ------------------------------------------------------------------ *)

@@ -69,8 +69,9 @@ val create :
     the threshold is invalid. *)
 
 val shutdown : t -> unit
-(** Wait for in-flight requests, then refuse every later one with an
-    [internal] error. Idempotent. *)
+(** Refuse every later request with an [internal] error, callers still
+    waiting for a free shard included (they are woken at once), then wait
+    for the requests in flight to finish. Idempotent. *)
 
 val workers : t -> int
 
@@ -92,6 +93,10 @@ val timeout_total : t -> int
 val worker_restarts : t -> int
 (** Crashes the per-query guard caught (each answered the rest of its
     batch [ERR internal]). 0 in a healthy pool. *)
+
+val waiters : t -> int
+(** In-process callers currently blocked waiting for a free shard (a TCP
+    domain's pinned shard never makes its caller wait here). *)
 
 val quarantined_count : t -> int
 (** Distinct queries currently quarantined (two crashes each). *)

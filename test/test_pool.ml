@@ -697,6 +697,302 @@ let test_pool_shed_newest () =
          r.Engine.Flight_recorder.cache = Engine.Flight_recorder.Shed)
        (Engine.Pool.recent pool))
 
+(* ------------------------------------------------------------------ *)
+(* The admission queue: an in-process caller that finds no shard free
+   waits for one ([Pool.waiters] counts it), at most [queue_capacity]
+   waiting slots under shed-newest. Each test parks the only shard in the
+   gate, so who waits and who is refused is deterministic; spinning on
+   [waiters] is the rendezvous with a caller provably asleep in the
+   queue. *)
+
+(* The waits below end promptly on working code; a regression that left a
+   caller asleep fails the test after [patience_s] instead of hanging the
+   suite. *)
+let patience_s = 10.0
+
+let await what ready =
+  let t0 = Obs.now_mono () in
+  while not (ready ()) do
+    if Obs.now_mono () -. t0 > patience_s then
+      Alcotest.failf "%s: still waiting after %.0f s" what patience_s;
+    Domain.cpu_relax ()
+  done
+
+let await_waiters pool n =
+  await "caller asleep in the queue" (fun () -> Engine.Pool.waiters pool >= n)
+
+(* Spawn [f] on a domain and join it, failing rather than hanging when it
+   has not returned within [patience_s]. *)
+let spawn_timed f =
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) f)
+  in
+  (d, finished)
+
+let join_timed what (d, finished) =
+  await what (fun () -> Atomic.get finished);
+  Domain.join d
+
+(* A call that must answer without blocking, run under the same bound. *)
+let prompt what f = join_timed what (spawn_timed f)
+
+let expect_ok what = function
+  | Ok (r : Engine.Serve.estimate_reply) ->
+    checkb (what ^ " is finite") true (Float.is_finite r.Engine.Serve.value)
+  | Error e -> Alcotest.failf "%s: %s" what (Core.Error.to_string e)
+
+let expect_kind what kind = function
+  | Ok _ -> Alcotest.failf "%s was served" what
+  | Error e -> checkb what true (Core.Error.kind e = kind)
+
+let pool_frames pool =
+  match Engine.Pool.stats_json pool with
+  | Obs.Json.Obj fields ->
+    (match List.assoc_opt "pool" fields with
+     | Some pf ->
+       (match Obs.Json.member "domains" pf with
+        | Some (Obs.Json.List ds) ->
+          List.fold_left
+            (fun acc d ->
+              match Obs.Json.member "frames" d with
+              | Some (Obs.Json.Int n) -> acc + n
+              | _ -> Alcotest.fail "domain entry without frames")
+            0 ds
+        | _ -> Alcotest.fail "pool stats without domains")
+     | None -> Alcotest.fail "stats without pool object")
+  | _ -> Alcotest.fail "stats_json not an object"
+
+(* Shutdown drains: the batch in flight when it lands runs to completion,
+   the slots after the parked one included; every later request is
+   refused ERR internal, and so are the single-writer verbs. *)
+let test_queue_close_drains () =
+  let g = gate () in
+  let pool =
+    Engine.Pool.create ~workers:1 ~chaos:(gate_hook g) (paper_estimator ())
+  in
+  (* A failed check must not leave the shard parked behind the close. *)
+  Fun.protect ~finally:(fun () -> gate_release g) @@ fun () ->
+  let engine = Engine.create (paper_estimator ()) in
+  let queries = [ "/site"; "//sleepy"; "//s[t][p]"; "//s/p" ] in
+  let in_flight =
+    Domain.spawn (fun () -> Engine.Pool.estimate_batch pool queries)
+  in
+  gate_await_entered g;
+  let closer = Domain.spawn (fun () -> Engine.Pool.shutdown pool) in
+  (* This caller finds the shard parked and waits for it until the close
+     wakes it into the refusal: once it returns, the pool is closed. *)
+  let late = spawn_timed (fun () -> Engine.Pool.estimate pool "/site") in
+  expect_kind "caller waiting at close is refused" Core.Error.Internal
+    (join_timed "caller waiting at close" late);
+  gate_release g;
+  let replies = Domain.join in_flight in
+  checki "every slot answered" (List.length queries) (List.length replies);
+  List.iter2
+    (fun q reply ->
+      match (reply, Engine.estimate engine q) with
+      | Ok r, Ok s ->
+        Alcotest.(check int64) (q ^ " drained bit-identical")
+          (bits s.Engine.outcome.Core.Estimator.value)
+          (bits r.Engine.Serve.value)
+      | Error e, _ ->
+        Alcotest.failf "in-flight %s: %s" q (Core.Error.to_string e)
+      | Ok _, Error e -> Alcotest.failf "engine %s: %s" q (Core.Error.to_string e))
+    queries replies;
+  Domain.join closer;
+  expect_kind "estimate after close" Core.Error.Internal
+    (Engine.Pool.estimate pool "/site");
+  List.iter
+    (expect_kind "batch slot after close" Core.Error.Internal)
+    (Engine.Pool.estimate_batch pool [ "/site"; "/site/regions" ]);
+  (match Engine.Pool.feedback pool "/site" ~actual:1 with
+   | Ok _ -> Alcotest.fail "feedback after close was applied"
+   | Error e ->
+     checkb "feedback after close" true
+       (Core.Error.kind e = Core.Error.Internal));
+  checki "no refinement after close" 0 (Engine.Pool.epoch pool);
+  (* Idempotent. *)
+  Engine.Pool.shutdown pool
+
+(* A caller asleep in the queue (block policy) is woken by the close and
+   refused at once: it returns while the request holding the shard is
+   still parked, rather than being served after the drain. *)
+let test_queue_close_vs_blocked_pop () =
+  let g = gate () in
+  let pool =
+    Engine.Pool.create ~workers:1 ~chaos:(gate_hook g) (paper_estimator ())
+  in
+  (* A failed check must not leave the shard parked behind the close. *)
+  Fun.protect ~finally:(fun () -> gate_release g) @@ fun () ->
+  let in_flight = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
+  gate_await_entered g;
+  let waiter = spawn_timed (fun () -> Engine.Pool.estimate pool "/site") in
+  await_waiters pool 1;
+  let closer = Domain.spawn (fun () -> Engine.Pool.shutdown pool) in
+  expect_kind "blocked caller refused on close" Core.Error.Internal
+    (join_timed "blocked caller" waiter);
+  checki "queue empty while the shard is still parked" 0
+    (Engine.Pool.waiters pool);
+  gate_release g;
+  expect_ok "in-flight request" (Domain.join in_flight);
+  Domain.join closer;
+  checki "the refused caller was never served" 1 (pool_frames pool)
+
+(* Shed-newest: a waiter holding the one admitted slot is refused by the
+   close as ERR internal, not shed; the shed count keeps only the probe
+   that found the queue full, and after the close admission is not even
+   consulted. *)
+let test_queue_close_vs_blocked_push () =
+  let g = gate () in
+  let pool =
+    Engine.Pool.create ~workers:1 ~queue_capacity:1 ~shed_policy:`Shed_newest
+      ~chaos:(gate_hook g) (paper_estimator ())
+  in
+  (* A failed check must not leave the shard parked behind the close. *)
+  Fun.protect ~finally:(fun () -> gate_release g) @@ fun () ->
+  let in_flight = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
+  gate_await_entered g;
+  let waiter = spawn_timed (fun () -> Engine.Pool.estimate pool "/site") in
+  await_waiters pool 1;
+  expect_kind "full queue sheds the probe" Core.Error.Overloaded
+    (prompt "probe of a full queue" (fun () ->
+         Engine.Pool.estimate pool "/site/regions"));
+  checki "one shed" 1 (Engine.Pool.shed_total pool);
+  let closer = Domain.spawn (fun () -> Engine.Pool.shutdown pool) in
+  expect_kind "admitted waiter refused on close" Core.Error.Internal
+    (join_timed "admitted waiter" waiter);
+  expect_kind "after close: refused, not shed" Core.Error.Internal
+    (Engine.Pool.estimate pool "/site/regions");
+  checki "close refusals are not sheds" 1 (Engine.Pool.shed_total pool);
+  gate_release g;
+  expect_ok "in-flight request" (Domain.join in_flight);
+  Domain.join closer
+
+(* Shed-newest never blocks a caller whose slots find the queue full: it is
+   answered ERR overloaded while the shard is still parked. The capacity
+   counts waiting slots pool-wide, and comes back once the waiter is
+   served. *)
+let test_queue_try_push () =
+  let g = gate () in
+  let pool =
+    Engine.Pool.create ~workers:1 ~queue_capacity:2 ~shed_policy:`Shed_newest
+      ~chaos:(gate_hook g) (paper_estimator ())
+  in
+  Fun.protect ~finally:(fun () ->
+      gate_release g;
+      Engine.Pool.shutdown pool)
+  @@ fun () ->
+  let in_flight = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
+  gate_await_entered g;
+  (* Three slots, room for two: the newest is shed, two wait. *)
+  let waiter =
+    Domain.spawn (fun () ->
+        Engine.Pool.estimate_batch pool [ "/site"; "/site/regions"; "//s/p" ])
+  in
+  await_waiters pool 1;
+  checki "newest slot shed" 1 (Engine.Pool.shed_total pool);
+  expect_kind "single estimate on a full queue" Core.Error.Overloaded
+    (prompt "single estimate on a full queue" (fun () ->
+         Engine.Pool.estimate pool "/site"));
+  List.iter
+    (expect_kind "batch slot on a full queue" Core.Error.Overloaded)
+    (prompt "batch on a full queue" (fun () ->
+         Engine.Pool.estimate_batch pool [ "/site"; "//s[t][p]" ]));
+  checki "every refused slot counted" 4 (Engine.Pool.shed_total pool);
+  checki "still one waiter" 1 (Engine.Pool.waiters pool);
+  gate_release g;
+  expect_ok "in-flight request" (Domain.join in_flight);
+  (match Domain.join waiter with
+   | [ a; b; c ] ->
+     expect_ok "admitted slot 0" a;
+     expect_ok "admitted slot 1" b;
+     expect_kind "shed slot 2" Core.Error.Overloaded c
+   | replies -> Alcotest.failf "unexpected batch size %d" (List.length replies));
+  (* The queue is empty again: a free shard serves every slot. *)
+  List.iter (expect_ok "after the drain")
+    (Engine.Pool.estimate_batch pool [ "/site"; "/site/regions"; "//s/p" ]);
+  checki "no shed once room is back" 4 (Engine.Pool.shed_total pool)
+
+(* More callers than shards: four domains share two shards, waiting in the
+   queue whenever both are taken. Every request is answered, bit-identical
+   to a single engine, and counted once. *)
+let test_queue_concurrent () =
+  let pool = Engine.Pool.create ~workers:2 (paper_estimator ()) in
+  Fun.protect ~finally:(fun () -> Engine.Pool.shutdown pool) @@ fun () ->
+  let engine = Engine.create (paper_estimator ()) in
+  let queries =
+    [| "/site"; "//s[t][p]"; "//s[p][t]"; "//s/p"; "/a/c/t"; "//t"; "//p" |]
+  in
+  let expected =
+    Array.map
+      (fun q ->
+        match Engine.estimate engine q with
+        | Ok s -> bits s.Engine.outcome.Core.Estimator.value
+        | Error e -> Alcotest.failf "engine %s: %s" q (Core.Error.to_string e))
+      queries
+  in
+  let n = 200 and callers = 4 in
+  let mismatches = Atomic.make 0 in
+  let check i = function
+    | Ok r when bits r.Engine.Serve.value = expected.(i) -> ()
+    | Ok _ | Error _ -> Atomic.incr mismatches
+  in
+  let domains =
+    List.init callers (fun c ->
+        Domain.spawn (fun () ->
+            for k = 0 to n - 1 do
+              let i = ((c * 7) + k) mod Array.length queries in
+              if k mod 4 = 0 then
+                let j = (i + 1) mod Array.length queries in
+                List.iter2 check [ i; j ]
+                  (Engine.Pool.estimate_batch pool [ queries.(i); queries.(j) ])
+              else check i (Engine.Pool.estimate pool queries.(i))
+            done))
+  in
+  List.iter Domain.join domains;
+  checki "every reply matches the engine" 0 (Atomic.get mismatches);
+  checki "every request counted once" (callers * n) (pool_frames pool);
+  checki "nobody left waiting" 0 (Engine.Pool.waiters pool)
+
+(* The wait shows in the counters: [waiters] rises while a caller sleeps
+   in the queue and falls back after; PROFILE charges the wait for the
+   parked shard to queue-wait; the queue-wait histogram counts one
+   observation per request. *)
+let test_queue_stats () =
+  let g = gate () in
+  let pool =
+    Engine.Pool.create ~workers:1 ~chaos:(gate_hook g) (paper_estimator ())
+  in
+  Fun.protect ~finally:(fun () ->
+      gate_release g;
+      Engine.Pool.shutdown pool)
+  @@ fun () ->
+  checki "fresh: nobody waits" 0 (Engine.Pool.waiters pool);
+  let in_flight = Domain.spawn (fun () -> Engine.Pool.estimate pool "//sleepy") in
+  gate_await_entered g;
+  checki "the parked request does not wait" 0 (Engine.Pool.waiters pool);
+  let profiler =
+    Domain.spawn (fun () -> Engine.Pool.profile pool [ "/site"; "//s/p" ])
+  in
+  await_waiters pool 1;
+  (* Keep the shard parked a measured 2 ms after the waiter arrived. *)
+  let t0 = Obs.now_mono () in
+  while Obs.now_mono () -. t0 < 0.002 do Domain.cpu_relax () done;
+  gate_release g;
+  expect_ok "in-flight request" (Domain.join in_flight);
+  (match Domain.join profiler with
+   | Ok p ->
+     checki "both slots profiled" 2 p.Engine.Serve.profiled;
+     checkb "queue-wait covers the wait for the shard" true
+       (p.Engine.Serve.queue_wait_us.Engine.Serve.p50 >= 2000.0);
+     checki "no steals" 0 p.Engine.Serve.steals
+   | Error e -> Alcotest.failf "profile: %s" (Core.Error.to_string e));
+  checki "waiter left the queue" 0 (Engine.Pool.waiters pool);
+  checkb "one queue-wait observation per request" true
+    (contains ~needle:"xseed_engine_pool_queue_wait_us_count 2"
+       (Engine.Pool.metrics_text pool))
+
 (* One injected worker death: the in-flight slot answers ERR internal (the
    batch never hangs), the worker restarts in place, and the pool keeps
    serving. A second death of the same query quarantines it. *)
@@ -931,6 +1227,15 @@ let () =
   Alcotest.run "pool"
     [ ( "drift",
         [ Alcotest.test_case "shard accounting" `Quick test_drift_shards_sum ] );
+      ( "work-queue",
+        [ Alcotest.test_case "close drains" `Quick test_queue_close_drains;
+          Alcotest.test_case "concurrent producers" `Quick test_queue_concurrent;
+          Alcotest.test_case "contention stats" `Quick test_queue_stats;
+          Alcotest.test_case "try_push never blocks" `Quick test_queue_try_push;
+          Alcotest.test_case "close vs blocked push" `Quick
+            test_queue_close_vs_blocked_push;
+          Alcotest.test_case "close vs blocked pop" `Quick
+            test_queue_close_vs_blocked_pop ] );
       ( "pool",
         [ Alcotest.test_case "lifecycle" `Quick test_pool_lifecycle;
           Alcotest.test_case "invalidate bumps epoch" `Quick
